@@ -28,9 +28,9 @@ object Tables {
     def name(v: Int) = s"v${v + 1}"
     def exact(blockers: Seq[Int]): Double = ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), blockers)
     (for (b <- Seq(1, 2)) yield {
-      val greedy = AdvancedGreedy.run(spark, g, seeds, b, theta, seed, distributed = false)
-      val outN = GreedyReplace.outNeighborsOnly(spark, g, seeds, b, theta, seed, distributed = false)
-      val gr = GreedyReplace.run(spark, g, seeds, b, theta, seed, distributed = false)
+      val greedy = AdvancedGreedy.run(spark, g, seeds, b, theta, seed)
+      val outN = GreedyReplace.outNeighborsOnly(spark, g, seeds, b, theta, seed)
+      val gr = GreedyReplace.run(spark, g, seeds, b, theta, seed)
       Seq(
         T3Row("Greedy", b, greedy.map(name), exact(greedy)),
         T3Row("OutNeighbors", b, outN.map(name), exact(outN)),
@@ -113,9 +113,9 @@ object Tables {
           Fmt.timed(ExactBlocker.run(spark, sub, seeds, b, thetaEval, evalSeed))
         val (grBlockers, grSecs) =
           Fmt.timed(GreedyReplace.run(spark, sub, seeds, b, thetaSel,
-            Rng.splitmix64(masterSeed + 2000 + i), distributed = false))
-        val grSpread = MonteCarloSpread.spreadLocal(
-          sub, seeds.toArray.sorted, thetaEval, evalSeed, Blocking.maskOf(sub.n, grBlockers))
+            Rng.splitmix64(masterSeed + 2000 + i)))
+        val grSpread = MonteCarloSpread.spreadWithBlockers(
+          spark, sub, seeds.toArray.sorted, grBlockers, thetaEval, evalSeed)
         exS += exSpread; grS += grSpread; exT += exSecs; grT += grSecs
       }
       val k = extracts.size
@@ -130,8 +130,9 @@ object Tables {
   final case class T7Row(dataset: String, b: Int, ra: Double, od: Double, ag: Double, gr: Double)
 
   /** One dataset's Table-VII column block under `model`: expected spread of
-    * the four heuristics at every budget, evaluated with distributed MCS on
-    * common sampled worlds.
+    * the four heuristics at every budget, evaluated with MCS on common
+    * sampled worlds. Every step runs on the driver or over Spark as
+    * [[repro.Execution]] decides from its size.
     */
   def tableVIIFor(
       spark: SparkSession,
@@ -148,7 +149,7 @@ object Tables {
     val evalSeed = Rng.splitmix64(masterSeed ^ spec.seed)
 
     def eval(blockers: Seq[Int]): Double =
-      MonteCarloSpread.spread(spark, g, roots, rEval, evalSeed, Blocking.maskOf(g.n, blockers))
+      MonteCarloSpread.spreadWithBlockers(spark, g, roots, blockers, rEval, evalSeed)
 
     val agByBudget = AdvancedGreedy.runWithCheckpoints(
       spark, g, seeds, budgets, thetaSel, masterSeed + 1)

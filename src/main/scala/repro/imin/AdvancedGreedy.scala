@@ -1,8 +1,9 @@
 package repro.imin
 
 import org.apache.spark.sql.SparkSession
-import repro.graph.ProbGraph
-import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.Execution
+import repro.graph.{ProbGraph, SeedReduction}
+import repro.sampling.TriggeringModel
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -18,10 +19,9 @@ import scala.collection.mutable.ArrayBuffer
 object AdvancedGreedy {
 
   /** Run AG and return the blocker insertion order (≤ b vertices — selection
-    * stops early once no candidate can decrease the spread).
-    *
-    * @param distributed fan the θ samples out as a Spark job per round; the
-    *                    local path is numerically identical (same seeds)
+    * stops early once no candidate can decrease the spread). The θ samples
+    * of a round run on the driver or as one Spark job, as
+    * [[repro.Execution]] decides once for the run.
     */
   def run(
       spark: SparkSession,
@@ -30,9 +30,8 @@ object AdvancedGreedy {
       b: Int,
       theta: Int,
       masterSeed: Long,
-      distributed: Boolean = true,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Seq[Int] =
-    runWithCheckpoints(spark, g, seeds, Seq(b), theta, masterSeed, distributed, model)(b)
+    runWithCheckpoints(spark, g, seeds, Seq(b), theta, masterSeed, model)(b)
 
   /** Run AG once up to `budgets.max` and return the blocker prefix at every
     * requested budget (greedy selection is prefix-monotone, so one pass
@@ -45,23 +44,32 @@ object AdvancedGreedy {
       budgets: Seq[Int],
       theta: Int,
       masterSeed: Long,
-      distributed: Boolean = true,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Map[Int, Seq[Int]] = {
     require(budgets.nonEmpty && budgets.forall(_ >= 1), "budgets must be positive")
-    val b = budgets.max
     val (red, notSeed) = Blocking.reduced(g, seeds)
-    val rg = red.graph
-    val blocked = new Array[Boolean](rg.n)
+    select(Execution.cluster(spark, red.graph, theta), red, notSeed, budgets, theta, masterSeed, model)
+  }
+
+  /** AG's rounds on a reduced instance, on the driver (`cluster = None`) or
+    * as one Spark job per round.
+    */
+  private[imin] def select(
+      cluster: Option[SparkSession],
+      red: SeedReduction.Reduced,
+      notSeed: Int => Boolean,
+      budgets: Seq[Int],
+      theta: Int,
+      masterSeed: Long,
+      model: TriggeringModel): Map[Int, Seq[Int]] = {
+    val b = budgets.max
+    val blocked = new Array[Boolean](red.graph.n)
     val order = ArrayBuffer.empty[Int]
 
     var i = 0
     var exhausted = false
     while (i < b && !exhausted) {
-      val current = rg.blockVertices(blocked)
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val delta =
-        if (distributed) DeltaEstimator.estimate(spark, current, red.superSeed, theta, roundSeed, model)
-        else DeltaEstimator.estimateLocal(current, red.superSeed, theta, roundSeed, model)
+      val delta = Blocking.roundDeltas(cluster, red, blocked, theta, roundSeed, model)
       val x = Blocking.argmaxDelta(delta, v => !blocked(v) && notSeed(v))
       if (x < 0 || delta(x) <= 0.0) exhausted = true // nothing left to gain
       else { blocked(x) = true; order += x }

@@ -1,6 +1,7 @@
 package repro.imin
 
 import org.apache.spark.sql.SparkSession
+import repro.Execution
 import repro.graph.ProbGraph
 import repro.sampling.GraphSampler
 import repro.util.Rng
@@ -18,11 +19,9 @@ import scala.collection.mutable.ArrayBuffer
   */
 object BaselineGreedy {
 
-  /** Run BG and return the blocker insertion order.
-    *
-    * @param distributed fan the candidate sweep out over a Spark job per
-    *                    round (one task evaluates r simulations for a slice
-    *                    of candidates)
+  /** Run BG and return the blocker insertion order. A round's candidate
+    * sweep runs on the driver or as one Spark job, as [[repro.Execution]]
+    * decides once for the run from the first round's candidates × r.
     */
   def run(
       spark: SparkSession,
@@ -30,8 +29,7 @@ object BaselineGreedy {
       seeds: Set[Int],
       b: Int,
       r: Int,
-      masterSeed: Long,
-      distributed: Boolean = true): Seq[Int] = {
+      masterSeed: Long): Seq[Int] = {
     require(b >= 1 && r >= 1, "b and r must be positive")
     val (red, notSeed) = Blocking.reduced(g, seeds)
     val rg = red.graph
@@ -56,30 +54,19 @@ object BaselineGreedy {
       vis
     }
 
+    def candidatesLeft = (0 until rg.n).filter(v => support(v) && !blocked(v) && notSeed(v))
+    // Later rounds sweep fewer candidates than the first.
+    val cluster = Execution.cluster(spark, rg, candidatesLeft.size.toDouble * r)
+
     var i = 0
     var exhausted = false
     while (i < b && !exhausted) {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val candidates = (0 until rg.n).filter(v => support(v) && !blocked(v) && notSeed(v))
+      val candidates = candidatesLeft
       if (candidates.isEmpty) exhausted = true
       else {
         val base = spreadSum(rg, superSeed, blocked, -1, r, roundSeed)
-        val sums: Map[Int, Long] =
-          if (distributed) {
-            import spark.implicits._
-            val bc = spark.sparkContext.broadcast((rg, blocked, superSeed))
-            try {
-              spark
-                .createDataset(candidates)
-                .mapPartitions { us =>
-                  val (graph, blk, root) = bc.value
-                  us.map(u => (u, spreadSum(graph, root, blk, u, r, roundSeed)))
-                }
-                .collect()
-                .toMap
-            } finally bc.destroy()
-          } else candidates.map(u => u -> spreadSum(rg, superSeed, blocked, u, r, roundSeed)).toMap
-
+        val sums = sweep(cluster, rg, superSeed, blocked, candidates, r, roundSeed)
         // Max decrease == min spread; deterministic tie-break by smallest id.
         val x = candidates.minBy(u => (sums(u), u))
         if (base - sums(x) <= 0L) exhausted = true
@@ -89,6 +76,35 @@ object BaselineGreedy {
     }
     order.toSeq
   }
+
+  /** One round's sweep: the total reach count over the round's `r` worlds
+    * with each candidate blocked in turn, on the driver (`cluster = None`) or
+    * as one Spark job (one task evaluates a slice of the candidates).
+    */
+  private[imin] def sweep(
+      cluster: Option[SparkSession],
+      g: ProbGraph,
+      root: Int,
+      blocked: Array[Boolean],
+      candidates: Seq[Int],
+      r: Int,
+      roundSeed: Long): Map[Int, Long] =
+    cluster match {
+      case Some(spark) =>
+        import spark.implicits._
+        val bc = spark.sparkContext.broadcast((g, blocked, root))
+        try {
+          spark
+            .createDataset(candidates)
+            .mapPartitions { us =>
+              val (graph, blk, rt) = bc.value
+              us.map(u => (u, spreadSum(graph, rt, blk, u, r, roundSeed)))
+            }
+            .collect()
+            .toMap
+        } finally bc.destroy()
+      case None => candidates.map(u => u -> spreadSum(g, root, blocked, u, r, roundSeed)).toMap
+    }
 
   /** Total reach count over `r` sampled worlds with `extraBlock` also
     * blocked (-1 for none).

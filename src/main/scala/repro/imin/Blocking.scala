@@ -1,6 +1,8 @@
 package repro.imin
 
+import org.apache.spark.sql.SparkSession
 import repro.graph.{ProbGraph, SeedReduction}
+import repro.sampling.{DeltaEstimator, TriggeringModel}
 
 /** Shared plumbing for the blocker-selection algorithms. */
 object Blocking {
@@ -32,5 +34,23 @@ object Blocking {
     val red = SeedReduction.reduce(g, seeds)
     val notSeed = (v: Int) => v != red.superSeed && !seeds.contains(v)
     (red, notSeed)
+  }
+
+  /** One AG/GR round: Δ of every vertex of the reduced graph once `blocked`
+    * vertices are removed (Algorithm 2), on the driver (`cluster = None`) or
+    * as one Spark job.
+    */
+  private[imin] def roundDeltas(
+      cluster: Option[SparkSession],
+      red: SeedReduction.Reduced,
+      blocked: Array[Boolean],
+      theta: Int,
+      roundSeed: Long,
+      model: TriggeringModel): Array[Double] = {
+    val current = red.graph.blockVertices(blocked)
+    cluster match {
+      case Some(spark) => DeltaEstimator.estimate(spark, current, red.superSeed, theta, roundSeed, model)
+      case None => DeltaEstimator.estimateLocal(current, red.superSeed, theta, roundSeed, model)
+    }
   }
 }

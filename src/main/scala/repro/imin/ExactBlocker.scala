@@ -1,6 +1,7 @@
 package repro.imin
 
 import org.apache.spark.sql.SparkSession
+import repro.Execution
 import repro.graph.ProbGraph
 import repro.sampling.GraphSampler
 import repro.util.Rng
@@ -13,22 +14,30 @@ import repro.util.Rng
   * comparison between candidate sets (and later against GR) is exact on the
   * sampled measure, mirroring the paper's exact-spread evaluation [39] of
   * its small extracts. The `C(candidates, b)` combinations are unranked
-  * combinatorially and fanned out over a `spark.range` of combination
-  * indices.
+  * combinatorially, so one combination index names one blocker set.
   */
 object ExactBlocker extends Serializable {
 
-  /** Binomial coefficient with saturation (inputs here stay tiny). */
+  /** Binomial coefficient `C(n, r)`, exact.
+    *
+    * @throws ArithmeticException when `C(n, r)` exceeds the `Long` range
+    */
   def choose(n: Int, r: Int): Long = {
     if (r < 0 || r > n) return 0L
-    var acc = 1L
+    var acc = 1L // C(n, i)
     var i = 0
     while (i < math.min(r, n - r)) {
-      acc = acc * (n - i) / (i + 1)
+      // C(n, i+1) = C(n, i)·(n-i)/(i+1); cancelling gcd(acc, i+1) first keeps
+      // every product exact, so multiplyExact fails only if C(n, i+1) does.
+      val g = gcd(acc, i + 1L)
+      acc = Math.multiplyExact(acc / g, (n - i) / ((i + 1) / g))
       i += 1
     }
     acc
   }
+
+  @annotation.tailrec
+  private def gcd(a: Long, b: Long): Long = if (b == 0L) a else gcd(b, a % b)
 
   /** Colexicographic unranking: the `idx`-th `b`-subset of `0 until k`,
     * as positions into the candidate array.
@@ -53,7 +62,12 @@ object ExactBlocker extends Serializable {
     * positive-probability edges — blocking anything else decreases nothing,
     * so the restriction preserves the optimal spread value.
     *
+    * The `C(candidates, b)` sets are searched on the driver or as one Spark
+    * job, as [[repro.Execution]] decides from their number × `thetaEval`.
+    *
     * @return (optimal blocker set, its estimated spread under the fixed pool)
+    * @throws ArithmeticException when `C(candidates, b)` exceeds the `Long`
+    *                             range; nothing is evaluated then
     */
   def run(
       spark: SparkSession,
@@ -61,8 +75,7 @@ object ExactBlocker extends Serializable {
       seeds: Set[Int],
       b: Int,
       thetaEval: Int,
-      masterSeed: Long,
-      distributed: Boolean = true): (Seq[Int], Double) = {
+      masterSeed: Long): (Seq[Int], Double) = {
     require(b >= 1 && thetaEval >= 1, "b and thetaEval must be positive")
     val roots = seeds.toArray.sorted
     val support = {
@@ -83,9 +96,31 @@ object ExactBlocker extends Serializable {
     val bEff = math.min(b, candidates.length)
     require(bEff >= 1, "no blockable candidate is reachable from the seeds")
     val nCombos = choose(candidates.length, bEff)
+    val cluster = Execution.cluster(spark, g, nCombos.toDouble * thetaEval)
+    val (bestSum, bestIdx) = search(cluster, g, roots, candidates, bEff, thetaEval, masterSeed)
+    val blockers = unrank(bestIdx, bEff).map(candidates(_)).toSeq
+    (blockers, bestSum.toDouble / thetaEval)
+  }
+
+  /** Every `b`-subset of `candidates` evaluated on the pool of `thetaEval`
+    * worlds, on the driver (`cluster = None`) or as one Spark job over a
+    * `spark.range` of combination indices.
+    *
+    * @return (smallest total reach count, its combination index); ties go to
+    *         the smallest index
+    */
+  private[imin] def search(
+      cluster: Option[SparkSession],
+      g: ProbGraph,
+      roots: Array[Int],
+      candidates: Array[Int],
+      b: Int,
+      thetaEval: Int,
+      masterSeed: Long): (Long, Long) = {
+    val nCombos = choose(candidates.length, b)
 
     def evalCombo(idx: Long, graph: ProbGraph, rs: Array[Int]): (Long, Long) = {
-      val positions = unrank(idx, bEff)
+      val positions = unrank(idx, b)
       val mask = new Array[Boolean](graph.n)
       positions.foreach(p => mask(candidates(p)) = true)
       var sum = 0L
@@ -97,8 +132,8 @@ object ExactBlocker extends Serializable {
       (sum, idx)
     }
 
-    val (bestSum, bestIdx) =
-      if (distributed) {
+    cluster match {
+      case Some(spark) =>
         import spark.implicits._
         val bc = spark.sparkContext.broadcast((g, roots))
         try {
@@ -117,10 +152,7 @@ object ExactBlocker extends Serializable {
             .collect()
             .minBy(identity)
         } finally bc.destroy()
-      } else
-        (0L until nCombos).map(evalCombo(_, g, roots)).minBy(identity)
-
-    val blockers = unrank(bestIdx, bEff).map(candidates(_)).toSeq
-    (blockers, bestSum.toDouble / thetaEval)
+      case None => (0L until nCombos).map(evalCombo(_, g, roots)).minBy(identity)
+    }
   }
 }

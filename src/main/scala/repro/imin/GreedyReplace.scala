@@ -1,8 +1,9 @@
 package repro.imin
 
 import org.apache.spark.sql.SparkSession
-import repro.graph.ProbGraph
-import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.Execution
+import repro.graph.{ProbGraph, SeedReduction}
+import repro.sampling.TriggeringModel
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -19,7 +20,10 @@ import scala.collection.mutable.ArrayBuffer
   */
 object GreedyReplace {
 
-  /** Run GR and return the final blocker set (insertion order). */
+  /** Run GR and return the final blocker set (insertion order). The θ
+    * samples of a round run on the driver or as one Spark job, as
+    * [[repro.Execution]] decides once for the run.
+    */
   def run(
       spark: SparkSession,
       g: ProbGraph,
@@ -27,9 +31,10 @@ object GreedyReplace {
       b: Int,
       theta: Int,
       masterSeed: Long,
-      distributed: Boolean = true,
-      model: TriggeringModel = TriggeringModel.IndependentCascade): Seq[Int] =
-    runImpl(spark, g, seeds, b, theta, masterSeed, distributed, model, replace = true)
+      model: TriggeringModel = TriggeringModel.IndependentCascade): Seq[Int] = {
+    val (red, notSeed) = Blocking.reduced(g, seeds)
+    select(Execution.cluster(spark, red.graph, theta), red, notSeed, b, theta, masterSeed, model, replace = true)
+  }
 
   /** Phase 1 only — the "OutNeighbors" heuristic of Example 3 / Table III:
     * greedily block up to `b` out-neighbors of the seed and stop.
@@ -40,35 +45,33 @@ object GreedyReplace {
       seeds: Set[Int],
       b: Int,
       theta: Int,
-      masterSeed: Long,
-      distributed: Boolean = true): Seq[Int] =
-    runImpl(spark, g, seeds, b, theta, masterSeed, distributed,
+      masterSeed: Long): Seq[Int] = {
+    val (red, notSeed) = Blocking.reduced(g, seeds)
+    select(Execution.cluster(spark, red.graph, theta), red, notSeed, b, theta, masterSeed,
       TriggeringModel.IndependentCascade, replace = false)
+  }
 
-  private def runImpl(
-      spark: SparkSession,
-      g: ProbGraph,
-      seeds: Set[Int],
+  /** GR's rounds on a reduced instance, on the driver (`cluster = None`) or
+    * as one Spark job per round.
+    */
+  private[imin] def select(
+      cluster: Option[SparkSession],
+      red: SeedReduction.Reduced,
+      notSeed: Int => Boolean,
       b: Int,
       theta: Int,
       masterSeed: Long,
-      distributed: Boolean,
       model: TriggeringModel,
       replace: Boolean): Seq[Int] = {
     require(b >= 1, "budget must be positive")
-    val (red, notSeed) = Blocking.reduced(g, seeds)
     val rg = red.graph
-    val superSeed = red.superSeed
 
-    def deltasOf(blocked: Array[Boolean], roundSeed: Long): Array[Double] = {
-      val current = rg.blockVertices(blocked)
-      if (distributed) DeltaEstimator.estimate(spark, current, superSeed, theta, roundSeed, model)
-      else DeltaEstimator.estimateLocal(current, superSeed, theta, roundSeed, model)
-    }
+    def deltasOf(blocked: Array[Boolean], roundSeed: Long): Array[Double] =
+      Blocking.roundDeltas(cluster, red, blocked, theta, roundSeed, model)
 
     // Candidate blockers of phase 1: the seed's out-neighbors (Line 1).
     val cb = scala.collection.mutable.LinkedHashSet.empty[Int]
-    rg.foreachOut(superSeed)((_, v, _) => cb += v)
+    rg.foreachOut(red.superSeed)((_, v, _) => cb += v)
     val blocked = new Array[Boolean](rg.n)
     val order = ArrayBuffer.empty[Int]
 

@@ -1,7 +1,6 @@
 package repro.sampling
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.SparkSession
 import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.util.Rng
@@ -18,9 +17,8 @@ import repro.util.Rng
   * The distributed path fans the θ samples out over a `spark.range(θ)`
   * Dataset; each task runs the sample→dominator-tree→subtree-size kernel on
   * the broadcast graph and pre-aggregates into a partition-local Δ array, so
-  * one job is one narrow stage plus a driver-side merge. [[pairsDF]] exposes
-  * the raw `(sample, vertex, size)` dataflow for the DuckDB oracle and for
-  * SQL-style aggregation.
+  * one job is one narrow stage plus a driver-side merge. Which path a run
+  * takes is decided by [[repro.Execution]].
   */
 object DeltaEstimator {
 
@@ -40,8 +38,8 @@ object DeltaEstimator {
     }
   }
 
-  /** Driver-side estimate (reference implementation, used by tests and by
-    * small-graph paths where a Spark job is overkill).
+  /** Driver-side estimate (the reference implementation, and the path
+    * taken when a Spark job would cost more than the samples it runs).
     */
   def estimateLocal(
       g: ProbGraph,
@@ -100,42 +98,4 @@ object DeltaEstimator {
       acc
     } finally bc.destroy()
   }
-
-  /** Raw per-sample dataflow: `DataFrame(sample, vertex, size)` with one row
-    * per (sampled world, dominator-tree vertex). Feeds [[estimateDF]] and the
-    * DuckDB oracle tests.
-    */
-  def pairsDF(
-      spark: SparkSession,
-      g: ProbGraph,
-      root: Int,
-      theta: Int,
-      masterSeed: Long): DataFrame = {
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast(g)
-    spark
-      .range(theta)
-      .as[Long]
-      .flatMap { id =>
-        val graph = bc.value
-        val dt = DominatorTree.compute(graph, root, GraphSampler.liveEdge(graph, Rng.sampleSeed(masterSeed, id)))
-        val sizes = dt.subtreeSizes
-        (1 until dt.count).iterator.map(i => (id, dt.vertexOf(i), sizes(i)))
-      }
-      .toDF("sample", "vertex", "size")
-  }
-
-  /** DataFrame variant of the estimate: `(vertex, delta)` via a Spark SQL
-    * aggregation over [[pairsDF]] (vertices never reachable in any sample are
-    * absent — their Δ is 0).
-    */
-  def estimateDF(
-      spark: SparkSession,
-      g: ProbGraph,
-      root: Int,
-      theta: Int,
-      masterSeed: Long): DataFrame =
-    pairsDF(spark, g, root, theta, masterSeed)
-      .groupBy(col("vertex"))
-      .agg((sum(col("size")) / lit(theta.toDouble)).as("delta"))
 }

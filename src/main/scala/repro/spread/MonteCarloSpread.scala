@@ -1,6 +1,7 @@
 package repro.spread
 
 import org.apache.spark.sql.SparkSession
+import repro.Execution
 import repro.graph.ProbGraph
 import repro.sampling.GraphSampler
 import repro.util.Rng
@@ -60,7 +61,9 @@ object MonteCarloSpread {
     } finally bc.destroy()
   }
 
-  /** Spread after blocking `blockers`, distributed. */
+  /** Spread after blocking `blockers`, on the driver or over Spark as
+    * [[repro.Execution]] decides for `r` simulations of `g`.
+    */
   def spreadWithBlockers(
       spark: SparkSession,
       g: ProbGraph,
@@ -70,6 +73,9 @@ object MonteCarloSpread {
       masterSeed: Long): Double = {
     val mask = new Array[Boolean](g.n)
     blockers.foreach(mask(_) = true)
-    spread(spark, g, roots, r, masterSeed, mask)
+    Execution.cluster(spark, g, r) match {
+      case Some(s) => spread(s, g, roots, r, masterSeed, mask)
+      case None => spreadLocal(g, roots, r, masterSeed, mask)
+    }
   }
 }

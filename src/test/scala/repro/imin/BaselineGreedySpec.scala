@@ -1,5 +1,6 @@
 package repro.imin
 
+import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.spread.ExactSpread
@@ -11,12 +12,12 @@ class BaselineGreedySpec extends SparkSpec {
   private def v(k: Int) = ToyGraph.v(k)
 
   test("BG blocks v5 at b=1") {
-    val b = BaselineGreedy.run(spark, g, seeds, 1, r = 3000, masterSeed = 1L, distributed = false)
+    val b = BaselineGreedy.run(spark, g, seeds, 1, r = 3000, masterSeed = 1L)
     assert(b == Seq(v(5)))
   }
 
   test("BG at b=2 matches the Greedy row of Table III") {
-    val b = BaselineGreedy.run(spark, g, seeds, 2, 3000, 2L, distributed = false)
+    val b = BaselineGreedy.run(spark, g, seeds, 2, 3000, 2L)
     assert(b.head == v(5))
     assert(b(1) == v(2) || b(1) == v(4))
     assert(math.abs(ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), b) - 2.0) < 1e-9)
@@ -24,8 +25,8 @@ class BaselineGreedySpec extends SparkSpec {
 
   test("BG and AG choose blocker sets of equal effectiveness (paper §V-C)") {
     for (seed <- Seq(3L, 4L)) {
-      val bg = BaselineGreedy.run(spark, g, seeds, 2, 3000, seed, distributed = false)
-      val ag = AdvancedGreedy.run(spark, g, seeds, 2, 3000, seed, distributed = false)
+      val bg = BaselineGreedy.run(spark, g, seeds, 2, 3000, seed)
+      val ag = AdvancedGreedy.run(spark, g, seeds, 2, 3000, seed)
       val sBg = ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), bg)
       val sAg = ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), ag)
       assert(math.abs(sBg - sAg) < 0.05, s"seed=$seed bg=$bg ag=$ag")
@@ -39,27 +40,34 @@ class BaselineGreedySpec extends SparkSpec {
       .filter(e => e._1 != e._2).distinct.take(ExactSpread.MaxUncertain)
     val h = ProbGraph.fromEdges(n, edges)
     val hSeeds = Set(0)
-    val bg = BaselineGreedy.run(spark, h, hSeeds, 2, 4000, 5L, distributed = false)
-    val ag = AdvancedGreedy.run(spark, h, hSeeds, 2, 4000, 5L, distributed = false)
+    val bg = BaselineGreedy.run(spark, h, hSeeds, 2, 4000, 5L)
+    val ag = AdvancedGreedy.run(spark, h, hSeeds, 2, 4000, 5L)
     val sBg = ExactSpread.spreadWithBlockers(h, Array(0), bg)
     val sAg = ExactSpread.spreadWithBlockers(h, Array(0), ag)
     assert(math.abs(sBg - sAg) < 0.1, s"bg=$bg ($sBg) ag=$ag ($sAg)")
   }
 
   test("distributed BG equals local BG (same worlds)") {
-    val a = BaselineGreedy.run(spark, g, seeds, 2, 1000, 6L, distributed = false)
-    val b = BaselineGreedy.run(spark, g, seeds, 2, 1000, 6L, distributed = true)
-    assert(a == b)
+    // The sweep of every round of a run, from no blocker to all of them.
+    val order = BaselineGreedy.run(spark, g, seeds, 2, 1000, 6L)
+    val (red, notSeed) = Blocking.reduced(g, seeds)
+    for (i <- 0 to order.size) {
+      val blocked = Blocking.maskOf(red.graph.n, order.take(i))
+      val candidates = (0 until red.graph.n).filter(v => notSeed(v) && !blocked(v))
+      def sweep(cluster: Option[SparkSession]) =
+        BaselineGreedy.sweep(cluster, red.graph, red.superSeed, blocked, candidates, 1000, 6L + i)
+      assert(sweep(None) == sweep(Some(spark)), s"round ${i + 1}")
+    }
   }
 
   test("BG stops when no candidate decreases the spread") {
     val h = ProbGraph.fromEdges(3, Seq((0, 1, 1.0), (1, 2, 1.0)))
-    val b = BaselineGreedy.run(spark, h, Set(0), 3, 200, 7L, distributed = false)
+    val b = BaselineGreedy.run(spark, h, Set(0), 3, 200, 7L)
     assert(b == Seq(1))
   }
 
   test("BG never blocks a seed and keeps blockers distinct") {
-    val b = BaselineGreedy.run(spark, g, seeds, 4, 500, 8L, distributed = false)
+    val b = BaselineGreedy.run(spark, g, seeds, 4, 500, 8L)
     assert(!b.contains(ToyGraph.seed))
     assert(b.distinct.size == b.size)
   }

@@ -36,13 +36,13 @@ class ExactBlockerSpec extends SparkSpec {
   }
 
   test("Exact finds v5 at b=1 on the toy graph") {
-    val (blockers, spread) = ExactBlocker.run(spark, g, seeds, 1, 4000, 1L, distributed = false)
+    val (blockers, spread) = ExactBlocker.run(spark, g, seeds, 1, 4000, 1L)
     assert(blockers == Seq(v(5)))
     assert(math.abs(spread - 3.0) < 0.1)
   }
 
   test("Exact finds {v2, v4} at b=2 on the toy graph") {
-    val (blockers, spread) = ExactBlocker.run(spark, g, seeds, 2, 4000, 2L, distributed = false)
+    val (blockers, spread) = ExactBlocker.run(spark, g, seeds, 2, 4000, 2L)
     assert(blockers.toSet == Set(v(2), v(4)))
     assert(math.abs(spread - 1.0) < 1e-9)
   }
@@ -50,7 +50,7 @@ class ExactBlockerSpec extends SparkSpec {
   test("Exact spread is a lower bound for every heuristic (common worlds)") {
     val thetaEval = 2000
     val evalSeed = 3L
-    val (_, exSpread) = ExactBlocker.run(spark, g, seeds, 1, thetaEval, evalSeed, distributed = false)
+    val (_, exSpread) = ExactBlocker.run(spark, g, seeds, 1, thetaEval, evalSeed)
     for (u <- 0 until g.n if u != ToyGraph.seed) {
       val s = repro.spread.MonteCarloSpread.spreadLocal(
         g, Array(ToyGraph.seed), thetaEval, evalSeed, Blocking.maskOf(g.n, Seq(u)))
@@ -59,30 +59,49 @@ class ExactBlockerSpec extends SparkSpec {
   }
 
   test("distributed Exact equals local Exact") {
-    val a = ExactBlocker.run(spark, g, seeds, 2, 1000, 4L, distributed = false)
-    val b = ExactBlocker.run(spark, g, seeds, 2, 1000, 4L, distributed = true)
+    val candidates = (0 until g.n).filter(_ != ToyGraph.seed).toArray
+    val roots = Array(ToyGraph.seed)
+    val a = ExactBlocker.search(None, g, roots, candidates, 2, 1000, 4L)
+    val b = ExactBlocker.search(Some(spark), g, roots, candidates, 2, 1000, 4L)
     assert(a == b)
+  }
+
+  test("choose is exact up to the Long range and rejects counts beyond it") {
+    assert(ExactBlocker.choose(66, 33) == 7219428434016265740L)
+    assert(ExactBlocker.choose(66, 1) == 66L)
+    intercept[ArithmeticException](ExactBlocker.choose(67, 33))
+    intercept[ArithmeticException](ExactBlocker.choose(70, 35))
+  }
+
+  test("an Exact search with too many blocker sets is rejected before any Spark job") {
+    // A star with 70 blockable leaves: C(70, 35) ≈ 1.1e20 blocker sets.
+    val star = ProbGraph.fromEdges(71, (1 to 70).map(v => (0, v, 0.5)))
+    val sc = spark.sparkContext
+    sc.setJobGroup("exact-oversized", "oversized Exact search")
+    try intercept[ArithmeticException](ExactBlocker.run(spark, star, Set(0), 35, 100, 1L))
+    finally sc.clearJobGroup()
+    assert(sc.statusTracker.getJobIdsForGroup("exact-oversized").isEmpty)
   }
 
   test("Exact agrees with brute-force enumeration over exact spreads on a small graph") {
     val h = ProbGraph.fromEdges(
       6,
       Seq((0, 1, 1.0), (0, 2, 1.0), (1, 3, 0.5), (2, 3, 0.5), (3, 4, 1.0), (3, 5, 0.5)))
-    val (blockers, _) = ExactBlocker.run(spark, h, Set(0), 1, 20000, 5L, distributed = false)
+    val (blockers, _) = ExactBlocker.run(spark, h, Set(0), 1, 20000, 5L)
     val best = (1 until 6).minBy(u => (ExactSpread.spreadWithBlockers(h, Array(0), Seq(u)), u))
     assert(blockers == Seq(best))
   }
 
   test("budget larger than candidate count is clamped") {
     val h = ProbGraph.fromEdges(3, Seq((0, 1, 1.0), (1, 2, 1.0)))
-    val (blockers, spread) = ExactBlocker.run(spark, h, Set(0), 10, 100, 6L, distributed = false)
+    val (blockers, spread) = ExactBlocker.run(spark, h, Set(0), 10, 100, 6L)
     assert(blockers.toSet == Set(1, 2))
     assert(spread == 1.0)
   }
 
   test("multi-seed Exact evaluates on the original graph") {
     val h = ProbGraph.fromEdges(5, Seq((0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0), (2, 4, 1.0)))
-    val (blockers, spread) = ExactBlocker.run(spark, h, Set(0, 1), 1, 100, 7L, distributed = false)
+    val (blockers, spread) = ExactBlocker.run(spark, h, Set(0, 1), 1, 100, 7L)
     assert(blockers == Seq(2))
     assert(spread == 2.0) // both seeds survive, everything else blocked
   }

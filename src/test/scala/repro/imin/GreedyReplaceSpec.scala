@@ -2,6 +2,7 @@ package repro.imin
 
 import repro.SparkSpec
 import repro.graph.{ProbGraph, ToyGraph}
+import repro.sampling.TriggeringModel.IndependentCascade
 import repro.spread.ExactSpread
 
 class GreedyReplaceSpec extends SparkSpec {
@@ -12,50 +13,52 @@ class GreedyReplaceSpec extends SparkSpec {
   private def exact(b: Seq[Int]) = ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), b)
 
   test("b=1: replacement upgrades an out-neighbor to v5 (Table III / Example 4)") {
-    val b = GreedyReplace.run(spark, g, seeds, 1, 5000, 1L, distributed = false)
+    val b = GreedyReplace.run(spark, g, seeds, 1, 5000, 1L)
     assert(b == Seq(v(5)))
     assert(math.abs(exact(b) - 3.0) < 1e-9)
   }
 
   test("b=2: keeps both out-neighbors, spread 1 (Table III / Example 4)") {
-    val b = GreedyReplace.run(spark, g, seeds, 2, 5000, 2L, distributed = false)
+    val b = GreedyReplace.run(spark, g, seeds, 2, 5000, 2L)
     assert(b.toSet == Set(v(2), v(4)))
     assert(math.abs(exact(b) - 1.0) < 1e-9)
   }
 
   test("outNeighborsOnly b=1 blocks one of v2/v4 with spread 6.66 (Table III)") {
-    val b = GreedyReplace.outNeighborsOnly(spark, g, seeds, 1, 5000, 3L, distributed = false)
+    val b = GreedyReplace.outNeighborsOnly(spark, g, seeds, 1, 5000, 3L)
     assert(b.size == 1 && (b.head == v(2) || b.head == v(4)))
     assert(math.abs(exact(b) - 6.66) < 1e-9)
   }
 
   test("outNeighborsOnly b=2 blocks v2 and v4 with spread 1 (Table III)") {
-    val b = GreedyReplace.outNeighborsOnly(spark, g, seeds, 2, 5000, 4L, distributed = false)
+    val b = GreedyReplace.outNeighborsOnly(spark, g, seeds, 2, 5000, 4L)
     assert(b.toSet == Set(v(2), v(4)))
     assert(math.abs(exact(b) - 1.0) < 1e-9)
   }
 
   test("GR is never worse than OutNeighbors-only (paper's guarantee)") {
     for (b <- 1 to 3; seed <- Seq(5L, 6L)) {
-      val gr = GreedyReplace.run(spark, g, seeds, b, 3000, seed, distributed = false)
-      val on = GreedyReplace.outNeighborsOnly(spark, g, seeds, b, 3000, seed, distributed = false)
+      val gr = GreedyReplace.run(spark, g, seeds, b, 3000, seed)
+      val on = GreedyReplace.outNeighborsOnly(spark, g, seeds, b, 3000, seed)
       assert(exact(gr) <= exact(on) + 0.05, s"b=$b seed=$seed gr=${exact(gr)} on=${exact(on)}")
     }
   }
 
   test("blocker count never exceeds min(outdeg of unified seed, b)") {
-    val b5 = GreedyReplace.run(spark, g, seeds, 5, 1000, 7L, distributed = false)
+    val b5 = GreedyReplace.run(spark, g, seeds, 5, 1000, 7L)
     assert(b5.size <= 2) // the toy seed has only 2 out-neighbors
   }
 
   test("distributed run equals local run") {
-    val a = GreedyReplace.run(spark, g, seeds, 2, 1000, 8L, distributed = false)
-    val b = GreedyReplace.run(spark, g, seeds, 2, 1000, 8L, distributed = true)
+    val (red, notSeed) = Blocking.reduced(g, seeds)
+    val a = GreedyReplace.select(None, red, notSeed, 2, 1000, 8L, IndependentCascade, replace = true)
+    val b = GreedyReplace.select(Some(spark), red, notSeed, 2, 1000, 8L, IndependentCascade, replace = true)
     assert(a == b)
+    assert(a == GreedyReplace.run(spark, g, seeds, 2, 1000, 8L))
   }
 
   test("blockers are distinct and never a seed") {
-    val b = GreedyReplace.run(spark, g, seeds, 2, 1000, 9L, distributed = false)
+    val b = GreedyReplace.run(spark, g, seeds, 2, 1000, 9L)
     assert(b.distinct.size == b.size)
     assert(!b.contains(ToyGraph.seed))
   }
@@ -65,8 +68,8 @@ class GreedyReplaceSpec extends SparkSpec {
     // optimal, so the first replacement must re-pick the removed vertex
     // and terminate (covered by result equality to the phase-1 set).
     val h = ProbGraph.fromEdges(4, Seq((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)))
-    val gr = GreedyReplace.run(spark, h, Set(0), 2, 500, 10L, distributed = false)
-    val on = GreedyReplace.outNeighborsOnly(spark, h, Set(0), 2, 500, 10L, distributed = false)
+    val gr = GreedyReplace.run(spark, h, Set(0), 2, 500, 10L)
+    val on = GreedyReplace.outNeighborsOnly(spark, h, Set(0), 2, 500, 10L)
     assert(gr.toSet == on.toSet)
   }
 
@@ -77,7 +80,7 @@ class GreedyReplaceSpec extends SparkSpec {
       8,
       Seq((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0),
         (3, 4, 1.0), (3, 5, 1.0), (3, 6, 1.0), (3, 7, 1.0)))
-    val gr = GreedyReplace.run(spark, h, Set(0), 1, 500, 11L, distributed = false)
+    val gr = GreedyReplace.run(spark, h, Set(0), 1, 500, 11L)
     assert(gr == Seq(3))
   }
 
@@ -85,7 +88,7 @@ class GreedyReplaceSpec extends SparkSpec {
     val h = ProbGraph.fromEdges(
       8,
       Seq((0, 2, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0), (3, 5, 1.0), (3, 6, 1.0), (3, 7, 1.0)))
-    val gr = GreedyReplace.run(spark, h, Set(0, 1), 1, 500, 12L, distributed = false)
+    val gr = GreedyReplace.run(spark, h, Set(0, 1), 1, 500, 12L)
     // the only out-neighbor of the unified seed is 2; replacing it cannot
     // improve (2 cuts off 6 vertices, 3 only 5)
     assert(gr == Seq(2))
@@ -93,13 +96,13 @@ class GreedyReplaceSpec extends SparkSpec {
 
   test("budget must be positive") {
     intercept[IllegalArgumentException](
-      GreedyReplace.run(spark, g, seeds, 0, 100, 1L, distributed = false))
+      GreedyReplace.run(spark, g, seeds, 0, 100, 1L))
   }
 
   test("GR result quality on toy graph beats or ties plain greedy for both budgets (Table III)") {
     for (b <- Seq(1, 2)) {
-      val ag = AdvancedGreedy.run(spark, g, seeds, b, 3000, 13L, distributed = false)
-      val gr = GreedyReplace.run(spark, g, seeds, b, 3000, 13L, distributed = false)
+      val ag = AdvancedGreedy.run(spark, g, seeds, b, 3000, 13L)
+      val gr = GreedyReplace.run(spark, g, seeds, b, 3000, 13L)
       assert(exact(gr) <= exact(ag) + 1e-9, s"b=$b")
     }
   }

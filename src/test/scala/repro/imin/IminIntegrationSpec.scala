@@ -4,6 +4,7 @@ import repro.SparkSpec
 import repro.exp.Datasets
 import repro.graph.PropModels
 import repro.sampling.DeltaEstimator
+import repro.sampling.TriggeringModel.IndependentCascade
 import repro.spread.MonteCarloSpread
 
 /** End-to-end integration of the whole stack on generated dataset
@@ -22,27 +23,27 @@ class IminIntegrationSpec extends SparkSpec {
     MonteCarloSpread.spreadLocal(g, roots, 4000, evalSeed, Blocking.maskOf(g.n, blockers))
 
   test("GR beats Rand on a generated dataset (TR)") {
-    val gr = GreedyReplace.run(spark, gTR, seeds, 10, 200, 2L, distributed = false)
+    val gr = GreedyReplace.run(spark, gTR, seeds, 10, 200, 2L)
     val ra = Heuristics.rand(gTR, seeds, 10, 2L)
     assert(eval(gTR, gr, 99L) < eval(gTR, ra, 99L))
   }
 
   test("GR beats OutDegree on a generated dataset (WC)") {
-    val gr = GreedyReplace.run(spark, gWC, seeds, 10, 200, 3L, distributed = false)
+    val gr = GreedyReplace.run(spark, gWC, seeds, 10, 200, 3L)
     val od = Heuristics.outDegree(gWC, seeds, 10)
     assert(eval(gWC, gr, 98L) < eval(gWC, od, 98L))
   }
 
   test("AG and GR are close in quality on a generated dataset (WC)") {
-    val ag = AdvancedGreedy.run(spark, gWC, seeds, 10, 200, 4L, distributed = false)
-    val gr = GreedyReplace.run(spark, gWC, seeds, 10, 200, 4L, distributed = false)
+    val ag = AdvancedGreedy.run(spark, gWC, seeds, 10, 200, 4L)
+    val gr = GreedyReplace.run(spark, gWC, seeds, 10, 200, 4L)
     val sAg = eval(gWC, ag, 97L)
     val sGr = eval(gWC, gr, 97L)
     assert(sGr <= sAg * 1.10 + 0.3, s"GR $sGr vs AG $sAg")
   }
 
   test("AG spread decreases monotonically along its own insertion order") {
-    val order = AdvancedGreedy.run(spark, gWC, seeds, 8, 200, 5L, distributed = false)
+    val order = AdvancedGreedy.run(spark, gWC, seeds, 8, 200, 5L)
     val spreads = (0 to order.size).map(k => eval(gWC, order.take(k), 96L))
     for (Seq(a, b) <- spreads.sliding(2)) assert(b <= a + 1e-9) // common worlds => exact monotone
   }
@@ -53,15 +54,19 @@ class IminIntegrationSpec extends SparkSpec {
   }
 
   test("distributed AG equals local AG on a generated dataset") {
-    val a = AdvancedGreedy.run(spark, gTR, seeds, 3, 100, 6L, distributed = false)
-    val b = AdvancedGreedy.run(spark, gTR, seeds, 3, 100, 6L, distributed = true)
+    val (red, notSeed) = Blocking.reduced(gTR, seeds)
+    val a = AdvancedGreedy.select(None, red, notSeed, Seq(3), 100, 6L, IndependentCascade)
+    val b = AdvancedGreedy.select(Some(spark), red, notSeed, Seq(3), 100, 6L, IndependentCascade)
     assert(a == b)
+    assert(a(3) == AdvancedGreedy.run(spark, gTR, seeds, 3, 100, 6L))
   }
 
   test("distributed GR equals local GR on a generated dataset") {
-    val a = GreedyReplace.run(spark, gWC, seeds, 3, 100, 7L, distributed = false)
-    val b = GreedyReplace.run(spark, gWC, seeds, 3, 100, 7L, distributed = true)
+    val (red, notSeed) = Blocking.reduced(gWC, seeds)
+    val a = GreedyReplace.select(None, red, notSeed, 3, 100, 7L, IndependentCascade, replace = true)
+    val b = GreedyReplace.select(Some(spark), red, notSeed, 3, 100, 7L, IndependentCascade, replace = true)
     assert(a == b)
+    assert(a == GreedyReplace.run(spark, gWC, seeds, 3, 100, 7L))
   }
 
   test("Theorem 5 empirically: estimation error shrinks as theta grows") {
@@ -80,15 +85,15 @@ class IminIntegrationSpec extends SparkSpec {
   }
 
   test("AG under the LT triggering model runs end-to-end (§V-E)") {
-    val b = AdvancedGreedy.run(spark, gWC, seeds, 3, 100, 8L, distributed = false,
+    val b = AdvancedGreedy.run(spark, gWC, seeds, 3, 100, 8L,
       model = repro.sampling.TriggeringModel.LinearThreshold)
     assert(b.nonEmpty && b.forall(v => !seeds.contains(v)))
   }
 
   test("a blocked graph's AG never re-selects already blocked vertices") {
-    val first = AdvancedGreedy.run(spark, gTR, seeds, 5, 100, 9L, distributed = false)
+    val first = AdvancedGreedy.run(spark, gTR, seeds, 5, 100, 9L)
     val masked = gTR.blockVertices(Blocking.maskOf(gTR.n, first))
-    val second = AdvancedGreedy.run(spark, masked, seeds, 5, 100, 10L, distributed = false)
+    val second = AdvancedGreedy.run(spark, masked, seeds, 5, 100, 10L)
     assert(second.toSet.intersect(first.toSet).isEmpty)
   }
 }

@@ -1,6 +1,6 @@
 package repro.sampling
 
-import repro.{Oracle, SparkSpec}
+import repro.SparkSpec
 import repro.graph.{ProbGraph, SeedReduction, ToyGraph}
 import repro.spread.ExactSpread
 import repro.util.Rng
@@ -97,35 +97,5 @@ class DeltaEstimatorSpec extends SparkSpec {
   test("theta must be positive") {
     intercept[IllegalArgumentException](DeltaEstimator.estimateLocal(g, ToyGraph.seed, 0, 1L))
     intercept[IllegalArgumentException](DeltaEstimator.estimate(spark, g, ToyGraph.seed, 0, 1L))
-  }
-
-  test("pairsDF emits one row per reachable non-root vertex per sample") {
-    val theta = 25
-    val pairs = DeltaEstimator.pairsDF(spark, g, ToyGraph.seed, theta, 21L).collect()
-    assert(pairs.forall(_.getInt(1) != ToyGraph.seed))
-    val bySample = pairs.groupBy(_.getLong(0))
-    assert(bySample.size == theta)
-    // every sample reaches at least the 6 certain non-root vertices
-    assert(bySample.values.forall(_.length >= 6))
-  }
-
-  test("estimateDF aggregation matches the DuckDB oracle") {
-    val theta = 50
-    val pairs = DeltaEstimator.pairsDF(spark, g, ToyGraph.seed, theta, 23L).cache()
-    val est = DeltaEstimator.estimateDF(spark, g, ToyGraph.seed, theta, 23L)
-    Oracle.assertEquivalent(
-      est,
-      s"SELECT vertex, SUM(CAST(size AS DOUBLE)) / $theta.0 AS delta FROM pairs GROUP BY vertex",
-      "pairs" -> pairs)
-    pairs.unpersist()
-  }
-
-  test("estimateDF agrees with the array-based estimate") {
-    val theta = 300
-    val df = DeltaEstimator.estimateDF(spark, g, ToyGraph.seed, theta, 29L)
-      .collect().map(r => r.getInt(0) -> r.getDouble(1)).toMap
-    val arr = DeltaEstimator.estimateLocal(g, ToyGraph.seed, theta, 29L)
-    for (u <- 0 until g.n if u != ToyGraph.seed)
-      assert(math.abs(df.getOrElse(u, 0.0) - arr(u)) < 1e-9, s"u=$u")
   }
 }
