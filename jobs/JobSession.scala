@@ -5,7 +5,7 @@ import org.apache.spark.sql.SparkSession
 /** Session bootstrap shared by the spark-submit entrypoints. */
 object JobSession {
   def get(name: String): SparkSession = {
-    val s = SparkSession.builder
+    val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
       .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))

@@ -6,9 +6,9 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * stored in CSR (compressed sparse row) form over vertex ids `0 until n`.
   *
   * This is the local substrate every algorithm kernel runs on: the graph is
-  * broadcast to executors and each task walks the CSR arrays directly. The
-  * canonical distributed form is the edge `DataFrame(src, dst, p)` produced
-  * by [[toDF]] / consumed by [[ProbGraph.fromDF]].
+  * broadcast to executors and each task walks the CSR arrays directly.
+  * [[toDF]] gives the edge table `DataFrame(src, dst, p)` for Table IV's
+  * degree statistics and SQL checks.
   *
   * @param offsets CSR row offsets, size `n + 1`
   * @param targets edge targets grouped by source, size `m`
@@ -113,11 +113,5 @@ object ProbGraph {
       targets(pos) = v; probs(pos) = p
     }
     new ProbGraph(n, offsets, targets, probs)
-  }
-
-  /** Rebuild a local CSR graph from its canonical edge DataFrame. */
-  def fromDF(df: DataFrame, n: Int): ProbGraph = {
-    val rows = df.select("src", "dst", "p").collect()
-    fromEdges(n, rows.toIndexedSeq.map(r => (r.getInt(0), r.getInt(1), r.getDouble(2))))
   }
 }

@@ -3,7 +3,7 @@ package repro.imin
 import org.apache.spark.sql.SparkSession
 import repro.Execution
 import repro.graph.ProbGraph
-import repro.sampling.GraphSampler
+import repro.spread.MonteCarloSpread
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -37,22 +37,7 @@ object BaselineGreedy {
     val blocked = new Array[Boolean](rg.n)
     val order = ArrayBuffer.empty[Int]
 
-    // Candidates that can ever matter: vertices reachable from the seed in
-    // the full-support graph (p > 0 edges). Others decrease nothing.
-    val support = {
-      val vis = new Array[Boolean](rg.n)
-      val stack = new Array[Int](rg.n)
-      var sp = 0
-      vis(superSeed) = true; stack(0) = superSeed; sp = 1
-      while (sp > 0) {
-        sp -= 1
-        val u = stack(sp)
-        rg.foreachOut(u) { (_, v, p) =>
-          if (p > 0.0 && !vis(v)) { vis(v) = true; stack(sp) = v; sp += 1 }
-        }
-      }
-      vis
-    }
+    val support = Blocking.support(rg, Array(superSeed))
 
     def candidatesLeft = (0 until rg.n).filter(v => support(v) && !blocked(v) && notSeed(v))
     // Later rounds sweep fewer candidates than the first.
@@ -121,13 +106,6 @@ object BaselineGreedy {
       else {
         val m2 = blocked.clone(); m2(extraBlock) = true; m2
       }
-    val roots = Array(root)
-    var sum = 0L
-    var i = 0L
-    while (i < r) {
-      sum += GraphSampler.reachCount(g, roots, Rng.sampleSeed(roundSeed, i), mask)
-      i += 1
-    }
-    sum
+    MonteCarloSpread.reachSum(g, Array(root), r, roundSeed, mask)
   }
 }

@@ -2,7 +2,7 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.graph.{ProbGraph, SeedReduction}
-import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.sampling.{DeltaEstimator, GraphSampler, TriggeringModel}
 
 /** Shared plumbing for the blocker-selection algorithms. */
 object Blocking {
@@ -12,6 +12,15 @@ object Blocking {
     val mask = new Array[Boolean](n)
     blockers.foreach(mask(_) = true)
     mask
+  }
+
+  /** Vertices reachable from `roots` over positive-probability edges: the
+    * only vertices whose blocking can decrease the spread.
+    */
+  def support(g: ProbGraph, roots: Array[Int]): Array[Boolean] = {
+    val vis = new Array[Boolean](g.n)
+    GraphSampler.reach(g, roots, null, vis)(e => g.probs(e) > 0.0)
+    vis
   }
 
   /** Deterministic argmax of `delta` over vertices satisfying `allowed`:

@@ -3,8 +3,7 @@ package repro.imin
 import org.apache.spark.sql.SparkSession
 import repro.Execution
 import repro.graph.ProbGraph
-import repro.sampling.GraphSampler
-import repro.util.Rng
+import repro.spread.MonteCarloSpread
 
 /** The Exact baseline of §VI-A: enumerate *every* blocker set of size `b`
   * and keep the one with the smallest expected spread.
@@ -78,20 +77,7 @@ object ExactBlocker extends Serializable {
       masterSeed: Long): (Seq[Int], Double) = {
     require(b >= 1 && thetaEval >= 1, "b and thetaEval must be positive")
     val roots = seeds.toArray.sorted
-    val support = {
-      val vis = new Array[Boolean](g.n)
-      val stack = new Array[Int](g.n)
-      var sp = 0
-      roots.foreach { s => if (!vis(s)) { vis(s) = true; stack(sp) = s; sp += 1 } }
-      while (sp > 0) {
-        sp -= 1
-        val u = stack(sp)
-        g.foreachOut(u) { (_, v, p) =>
-          if (p > 0.0 && !vis(v)) { vis(v) = true; stack(sp) = v; sp += 1 }
-        }
-      }
-      vis
-    }
+    val support = Blocking.support(g, roots)
     val candidates = (0 until g.n).filter(v => support(v) && !seeds.contains(v)).toArray
     val bEff = math.min(b, candidates.length)
     require(bEff >= 1, "no blockable candidate is reachable from the seeds")
@@ -120,16 +106,8 @@ object ExactBlocker extends Serializable {
     val nCombos = choose(candidates.length, b)
 
     def evalCombo(idx: Long, graph: ProbGraph, rs: Array[Int]): (Long, Long) = {
-      val positions = unrank(idx, b)
-      val mask = new Array[Boolean](graph.n)
-      positions.foreach(p => mask(candidates(p)) = true)
-      var sum = 0L
-      var i = 0L
-      while (i < thetaEval) {
-        sum += GraphSampler.reachCount(graph, rs, Rng.sampleSeed(masterSeed, i), mask)
-        i += 1
-      }
-      (sum, idx)
+      val mask = Blocking.maskOf(graph.n, unrank(idx, b).map(candidates(_)))
+      (MonteCarloSpread.reachSum(graph, rs, thetaEval, masterSeed, mask), idx)
     }
 
     cluster match {

@@ -1,7 +1,5 @@
 package repro.imin
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 import repro.graph.ProbGraph
 import scala.util.Random
 
@@ -20,27 +18,11 @@ object Heuristics {
   }
 
   /** OD: the `b` non-seed vertices with the highest out-degree (ties broken
-    * by smallest id). Local reference implementation.
+    * by smallest id).
     */
   def outDegree(g: ProbGraph, seeds: Set[Int], b: Int): Seq[Int] =
     (0 until g.n)
       .filterNot(seeds.contains)
       .sortBy(v => (-g.outDegree(v), v))
       .take(b)
-
-  /** OD as a Spark SQL dataflow over the canonical edge DataFrame: degree
-    * aggregation + deterministic top-k. Oracle-checked against DuckDB; the
-    * result set equals [[outDegree]] restricted to vertices with ≥ 1
-    * out-edge.
-    */
-  def outDegreeDF(spark: SparkSession, edges: DataFrame, exclude: Seq[Int], b: Int): DataFrame = {
-    import spark.implicits._
-    val ex = exclude.toDF("x")
-    edges
-      .groupBy(col("src").as("vertex"))
-      .agg(count(lit(1)).as("outdeg"))
-      .join(ex, col("vertex") === col("x"), "left_anti")
-      .orderBy(col("outdeg").desc, col("vertex").asc)
-      .limit(b)
-  }
 }

@@ -19,6 +19,44 @@ object GraphSampler {
   def edgeMask(g: ProbGraph, sampleSeed: Long): Array[Boolean] =
     Array.tabulate(g.m)(liveEdge(g, sampleSeed))
 
+  /** The reachability kernel every spread computation runs on: marks in
+    * `vis` each vertex reachable from `roots` over edges satisfying
+    * `keepEdge`, never entering a `blocked` vertex (null: none; a blocked
+    * root counts as unreached), and returns how many vertices it marked.
+    * Vertices already marked in `vis` are neither entered nor counted.
+    * `keepEdge` is asked only about edges into unmarked, unblocked vertices.
+    */
+  def reach(g: ProbGraph, roots: Array[Int], blocked: Array[Boolean], vis: Array[Boolean])(
+      keepEdge: Int => Boolean): Int = {
+    val offsets = g.offsets
+    val targets = g.targets
+    // Grows on demand, so a small reach allocates little on a large graph.
+    var stack = new Array[Int](math.max(16, roots.length))
+    var sp = 0
+    var i = 0
+    while (i < roots.length) {
+      val r = roots(i)
+      if (!vis(r) && (blocked == null || !blocked(r))) { vis(r) = true; stack(sp) = r; sp += 1 }
+      i += 1
+    }
+    var count = sp
+    while (sp > 0) {
+      sp -= 1
+      val u = stack(sp)
+      var e = offsets(u)
+      val end = offsets(u + 1)
+      while (e < end) {
+        val v = targets(e)
+        if (!vis(v) && (blocked == null || !blocked(v)) && keepEdge(e)) {
+          if (sp == stack.length) stack = java.util.Arrays.copyOf(stack, 2 * sp)
+          vis(v) = true; stack(sp) = v; sp += 1; count += 1
+        }
+        e += 1
+      }
+    }
+    count
+  }
+
   /** Number of vertices reachable from `roots` in the sampled world (σ of
     * Table II, generalized to a root set), optionally with blocked vertices.
     * A blocked root counts as not reachable.
@@ -27,30 +65,8 @@ object GraphSampler {
       g: ProbGraph,
       roots: Array[Int],
       sampleSeed: Long,
-      blocked: Array[Boolean] = null): Int = {
-    val vis = new Array[Boolean](g.n)
-    val stack = new Array[Int](g.n)
-    var sp = 0
-    var count = 0
-    var i = 0
-    while (i < roots.length) {
-      val r = roots(i)
-      if (!vis(r) && (blocked == null || !blocked(r))) {
-        vis(r) = true; count += 1; stack(sp) = r; sp += 1
-      }
-      i += 1
-    }
-    while (sp > 0) {
-      sp -= 1
-      val u = stack(sp)
-      g.foreachOut(u) { (e, v, p) =>
-        if (!vis(v) && (blocked == null || !blocked(v)) && Rng.edgeKeep(sampleSeed, e, p)) {
-          vis(v) = true; count += 1; stack(sp) = v; sp += 1
-        }
-      }
-    }
-    count
-  }
+      blocked: Array[Boolean] = null): Int =
+    reach(g, roots, blocked, new Array[Boolean](g.n))(liveEdge(g, sampleSeed))
 
   /** Reachable vertex set (test-friendly variant of [[reachCount]]). */
   def reachSet(
@@ -59,23 +75,7 @@ object GraphSampler {
       sampleSeed: Long,
       blocked: Array[Boolean] = null): Set[Int] = {
     val vis = new Array[Boolean](g.n)
-    val stack = new Array[Int](g.n)
-    var sp = 0
-    var i = 0
-    while (i < roots.length) {
-      val r = roots(i)
-      if (!vis(r) && (blocked == null || !blocked(r))) { vis(r) = true; stack(sp) = r; sp += 1 }
-      i += 1
-    }
-    while (sp > 0) {
-      sp -= 1
-      val u = stack(sp)
-      g.foreachOut(u) { (e, v, p) =>
-        if (!vis(v) && (blocked == null || !blocked(v)) && Rng.edgeKeep(sampleSeed, e, p)) {
-          vis(v) = true; stack(sp) = v; sp += 1
-        }
-      }
-    }
+    reach(g, roots, blocked, vis)(liveEdge(g, sampleSeed))
     (0 until g.n).filter(vis).toSet
   }
 }

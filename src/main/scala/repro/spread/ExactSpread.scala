@@ -1,6 +1,7 @@
 package repro.spread
 
 import repro.graph.ProbGraph
+import repro.sampling.GraphSampler
 
 /** Exact expected spread under the IC model by enumerating the outcomes of
   * every *uncertain* edge (0 < p < 1). Feasible only when the number of
@@ -31,6 +32,9 @@ object ExactSpread {
 
     val probs = new Array[Double](g.n)
     val keepUncertain = new Array[Boolean](g.m)
+    // An edge is live in this world if it is certain, or uncertain and on.
+    val live = (e: Int) => g.probs(e) >= 1.0 || (g.probs(e) > 0.0 && keepUncertain(e))
+    val vis = new Array[Boolean](g.n)
     val nCombos = 1L << uncertain.length
     var combo = 0L
     while (combo < nCombos) {
@@ -43,26 +47,8 @@ object ExactSpread {
         worldP *= (if (on) g.probs(e) else 1.0 - g.probs(e))
         i += 1
       }
-      // Deterministic reachability in this world.
-      val vis = new Array[Boolean](g.n)
-      val stack = new Array[Int](g.n)
-      var sp = 0
-      var r = 0
-      while (r < roots.length) {
-        val s = roots(r)
-        if (!vis(s) && (blocked == null || !blocked(s))) { vis(s) = true; stack(sp) = s; sp += 1 }
-        r += 1
-      }
-      while (sp > 0) {
-        sp -= 1
-        val u = stack(sp)
-        g.foreachOut(u) { (e, v, p) =>
-          val live = p >= 1.0 || (p > 0.0 && keepUncertain(e))
-          if (live && !vis(v) && (blocked == null || !blocked(v))) {
-            vis(v) = true; stack(sp) = v; sp += 1
-          }
-        }
-      }
+      java.util.Arrays.fill(vis, false)
+      GraphSampler.reach(g, roots, blocked, vis)(live)
       var v = 0
       while (v < g.n) { if (vis(v)) probs(v) += worldP; v += 1 }
       combo += 1

@@ -15,6 +15,21 @@ import repro.util.Rng
   */
 object MonteCarloSpread {
 
+  /** Total reach count of `roots` over the `r` sampled worlds keyed by
+    * `masterSeed`, with `blocked` vertices removed (null: none).
+    */
+  def reachSum(g: ProbGraph, roots: Array[Int], r: Int, masterSeed: Long, blocked: Array[Boolean]): Long = {
+    val vis = new Array[Boolean](g.n)
+    var sum = 0L
+    var i = 0L
+    while (i < r) {
+      java.util.Arrays.fill(vis, false)
+      sum += GraphSampler.reach(g, roots, blocked, vis)(GraphSampler.liveEdge(g, Rng.sampleSeed(masterSeed, i)))
+      i += 1
+    }
+    sum
+  }
+
   /** Driver-side estimate over `r` simulations. */
   def spreadLocal(
       g: ProbGraph,
@@ -23,13 +38,7 @@ object MonteCarloSpread {
       masterSeed: Long,
       blocked: Array[Boolean] = null): Double = {
     require(r >= 1, "r must be positive")
-    var sum = 0L
-    var i = 0L
-    while (i < r) {
-      sum += GraphSampler.reachCount(g, roots, Rng.sampleSeed(masterSeed, i), blocked)
-      i += 1
-    }
-    sum.toDouble / r
+    reachSum(g, roots, r, masterSeed, blocked).toDouble / r
   }
 
   /** Distributed estimate: `r` simulations fanned out over `spark.range(r)`,

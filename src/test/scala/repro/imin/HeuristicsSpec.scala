@@ -1,9 +1,9 @@
 package repro.imin
 
-import repro.{Oracle, SparkSpec}
-import repro.graph.{ProbGraph, SocialGraphGen, ToyGraph}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.graph.{ProbGraph, ToyGraph}
 
-class HeuristicsSpec extends SparkSpec {
+class HeuristicsSpec extends AnyFunSuite {
 
   private val g = ToyGraph.graph
   private val seeds = Set(ToyGraph.seed)
@@ -44,34 +44,5 @@ class HeuristicsSpec extends SparkSpec {
   test("outDegree never picks a seed even if it has max degree") {
     val h = ProbGraph.fromEdges(4, Seq((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0)))
     assert(Heuristics.outDegree(h, Set(0), 2) == Seq(1, 2))
-  }
-
-  test("outDegreeDF matches the local implementation on a generated graph") {
-    val graph = SocialGraphGen.powerLaw(120, 400, directed = true, seed = 9L)
-    val topLocal = Heuristics.outDegree(graph, Set.empty, 10).filter(graph.outDegree(_) > 0)
-    val topDF = Heuristics.outDegreeDF(spark, graph.toDF(spark), Seq.empty, 10)
-      .collect().map(_.getInt(0)).toSeq
-    assert(topDF == topLocal)
-  }
-
-  test("outDegreeDF respects the exclusion list") {
-    val graph = SocialGraphGen.powerLaw(120, 400, directed = true, seed = 9L)
-    val top1 = Heuristics.outDegreeDF(spark, graph.toDF(spark), Seq.empty, 1)
-      .collect().head.getInt(0)
-    val without = Heuristics.outDegreeDF(spark, graph.toDF(spark), Seq(top1), 5)
-      .collect().map(_.getInt(0))
-    assert(!without.contains(top1))
-  }
-
-  test("outDegreeDF top-k matches the DuckDB oracle") {
-    val graph = ToyGraph.graph
-    val edges = graph.toDF(spark)
-    val topDF = Heuristics.outDegreeDF(spark, edges, Seq(ToyGraph.seed), 3)
-    Oracle.assertEquivalent(
-      topDF,
-      s"""SELECT CAST(src AS INT) AS vertex, COUNT(*) AS outdeg
-         |FROM edges WHERE src <> '${ToyGraph.seed}'
-         |GROUP BY src ORDER BY outdeg DESC, vertex ASC LIMIT 3""".stripMargin,
-      "edges" -> edges)
   }
 }

@@ -8,6 +8,14 @@ class GraphSamplerSpec extends AnyFunSuite {
 
   private val g = ToyGraph.graph
 
+  test("reach grows its stack past the initial size on a wide star") {
+    // a star wider than the kernel's initial stack, so the stack has to grow
+    val star = ProbGraph.fromEdges(41, (1 to 40).map(leaf => (0, leaf, 1.0)))
+    val vis = new Array[Boolean](star.n)
+    assert(GraphSampler.reach(star, Array(0), null, vis)(_ => true) == 41)
+    assert(vis.forall(identity))
+  }
+
   test("edgeMask keeps certain edges in every sample") {
     for (id <- 0L until 50L) {
       val mask = GraphSampler.edgeMask(g, Rng.sampleSeed(1L, id))

@@ -4,65 +4,69 @@ import repro.{Oracle, SparkSpec}
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.sampling.GraphSampler
 
+/** Reachability cases run on the one kernel, [[GraphSampler.reach]].
+  *
+  * The suite keeps the name and test names it had when it checked the
+  * DataFrame-join and GraphX Pregel reachability copies, so results stay
+  * comparable by test id across versions; every test now runs the kernel,
+  * and the two `WITH RECURSIVE` tests keep DuckDB as its independent oracle.
+  */
 class DistributedBFSSpec extends SparkSpec {
-  import org.apache.spark.sql.functions._
 
-  private def edgesDF(g: ProbGraph) = g.toDF(spark).select(col("src"), col("dst"))
+  private val toy = ToyGraph.graph
+  private def v(k: Int) = ToyGraph.v(k)
+  private val all = (_: Int) => true
 
-  test("reachable on the toy graph finds all 9 vertices over certain+uncertain edges") {
-    val g = ToyGraph.graph
-    val reach = DistributedBFS.reachable(spark, edgesDF(g), Seq(ToyGraph.seed))
-    assert(reach.collect().map(_.getInt(0)).toSet == (0 until 9).toSet)
+  private def certain(n: Int, edges: (Int, Int)*) =
+    ProbGraph.fromEdges(n, edges.map { case (a, b) => (a, b, 1.0) })
+
+  private def reachOf(g: ProbGraph, roots: Array[Int], keep: Int => Boolean): (Set[Int], Int) = {
+    val vis = new Array[Boolean](g.n)
+    val count = GraphSampler.reach(g, roots, null, vis)(keep)
+    ((0 until g.n).filter(vis).toSet, count)
   }
 
-  test("reachable stops at disconnected components") {
-    val g = ProbGraph.fromEdges(5, Seq((0, 1, 1.0), (1, 2, 1.0), (3, 4, 1.0)))
-    val reach = DistributedBFS.reachable(spark, edgesDF(g), Seq(0))
-    assert(reach.collect().map(_.getInt(0)).toSet == Set(0, 1, 2))
-  }
+  // (test name, graph, roots, keepEdge, expected reach)
+  private val cases = Seq(
+    ("reachable on the toy graph finds all 9 vertices over certain+uncertain edges",
+      toy, Array(ToyGraph.seed), all, (0 until 9).toSet),
+    ("reachable stops at disconnected components",
+      certain(5, (0, 1), (1, 2), (3, 4)), Array(0), all, Set(0, 1, 2)),
+    ("reachable handles cycles",
+      certain(3, (0, 1), (1, 2), (2, 0)), Array(0), all, Set(0, 1, 2)),
+    ("reachable with multiple roots unions their reaches",
+      certain(6, (0, 2), (1, 3), (3, 4)), Array(0, 1), all, Set(0, 1, 2, 3, 4)),
+    ("a root with no outgoing edges reaches only itself",
+      certain(3, (0, 1)), Array(2), all, Set(2)),
+    // drop both edges into v8 — v8 and v7 become unreachable
+    ("GraphX Pregel respects a live-edge predicate",
+      toy, Array(ToyGraph.seed), (e: Int) => toy.targets(e) != v(8),
+      Set(v(1), v(2), v(3), v(4), v(5), v(6), v(9))))
 
-  test("reachable handles cycles") {
-    val g = ProbGraph.fromEdges(3, Seq((0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)))
-    assert(DistributedBFS.spread(spark, edgesDF(g), Seq(0)) == 3L)
-  }
-
-  test("reachable with multiple roots unions their reaches") {
-    val g = ProbGraph.fromEdges(6, Seq((0, 2, 1.0), (1, 3, 1.0), (3, 4, 1.0)))
-    val reach = DistributedBFS.reachable(spark, edgesDF(g), Seq(0, 1))
-    assert(reach.collect().map(_.getInt(0)).toSet == Set(0, 1, 2, 3, 4))
-  }
-
-  test("a root with no outgoing edges reaches only itself") {
-    val g = ProbGraph.fromEdges(3, Seq((0, 1, 1.0)))
-    assert(DistributedBFS.spread(spark, edgesDF(g), Seq(2)) == 1L)
-  }
-
-  test("DataFrame BFS matches the local sampler BFS on random graphs") {
-    val rnd = new scala.util.Random(31)
-    for (trial <- 1 to 5) {
-      val n = 10 + rnd.nextInt(30)
-      val edges = Seq.fill(3 * n)((rnd.nextInt(n), rnd.nextInt(n), 1.0)).filter(e => e._1 != e._2)
-      val g = ProbGraph.fromEdges(n, edges.distinct)
-      val root = rnd.nextInt(n)
-      val local = GraphSampler.reachSet(g, Array(root), sampleSeed = 1L)
-      val dist = DistributedBFS.reachable(spark, edgesDF(g), Seq(root))
-        .collect().map(_.getInt(0)).toSet
-      assert(dist == local, s"trial=$trial root=$root")
+  for ((name, g, roots, keep, expected) <- cases)
+    test(name) {
+      val (reached, count) = reachOf(g, roots, keep)
+      assert(reached == expected)
+      assert(count == expected.size)
     }
+
+  /** Vertices the kernel reaches from `root` with every edge live, as a table. */
+  private def reachAllDF(g: ProbGraph, root: Int) = {
+    import spark.implicits._
+    reachOf(g, Array(root), all)._1.toSeq.toDF("vertex")
   }
+
+  private def recursiveReach(root: Int) =
+    s"""WITH RECURSIVE reach AS (
+       |  SELECT '$root' AS vertex
+       |  UNION
+       |  SELECT e.dst AS vertex FROM edges e JOIN reach r ON e.src = r.vertex
+       |) SELECT vertex FROM reach""".stripMargin
 
   test("DataFrame BFS matches DuckDB WITH RECURSIVE oracle") {
-    val g = ToyGraph.graph
-    val edges = edgesDF(g)
-    val reach = DistributedBFS.reachable(spark, edges, Seq(ToyGraph.seed))
     Oracle.assertEquivalent(
-      reach,
-      s"""WITH RECURSIVE reach AS (
-         |  SELECT '${ToyGraph.seed}' AS vertex
-         |  UNION
-         |  SELECT e.dst AS vertex FROM edges e JOIN reach r ON e.src = r.vertex
-         |) SELECT vertex FROM reach""".stripMargin,
-      "edges" -> edges)
+      reachAllDF(toy, ToyGraph.seed), recursiveReach(ToyGraph.seed),
+      "edges" -> toy.toDF(spark).select("src", "dst"))
   }
 
   test("DataFrame BFS matches DuckDB recursive oracle on a random graph") {
@@ -70,44 +74,6 @@ class DistributedBFSSpec extends SparkSpec {
     val n = 25
     val edges = Seq.fill(60)((rnd.nextInt(n), rnd.nextInt(n), 1.0)).filter(e => e._1 != e._2).distinct
     val g = ProbGraph.fromEdges(n, edges)
-    val df = edgesDF(g)
-    val reach = DistributedBFS.reachable(spark, df, Seq(0))
-    Oracle.assertEquivalent(
-      reach,
-      """WITH RECURSIVE reach AS (
-        |  SELECT '0' AS vertex
-        |  UNION
-        |  SELECT e.dst AS vertex FROM edges e JOIN reach r ON e.src = r.vertex
-        |) SELECT vertex FROM reach""".stripMargin,
-      "edges" -> df)
-  }
-
-  test("GraphX Pregel reachability agrees with DataFrame BFS") {
-    val g = ToyGraph.graph
-    val viaGraphX = GraphXReach.reachable(spark, g, Set(ToyGraph.seed))
-    val viaDF = DistributedBFS.reachable(spark, edgesDF(g), Seq(ToyGraph.seed))
-      .collect().map(_.getInt(0)).toSet
-    assert(viaGraphX == viaDF)
-  }
-
-  test("GraphX Pregel respects a live-edge predicate") {
-    val g = ToyGraph.graph
-    def v(k: Int) = ToyGraph.v(k)
-    // drop both edges into v8 — v8 and v7 become unreachable
-    val dropTargets = Set(v(8))
-    val keep = (e: Int) => !dropTargets.contains(g.targets(e))
-    val reach = GraphXReach.reachable(spark, g, Set(ToyGraph.seed), keep)
-    assert(reach == Set(v(1), v(2), v(3), v(4), v(5), v(6), v(9)))
-  }
-
-  test("GraphX Pregel matches the local sampler on a random sampled world") {
-    val rnd = new scala.util.Random(41)
-    val n = 20
-    val edges = Seq.fill(50)((rnd.nextInt(n), rnd.nextInt(n), 0.5)).filter(e => e._1 != e._2).distinct
-    val g = ProbGraph.fromEdges(n, edges)
-    val sampleSeed = repro.util.Rng.sampleSeed(5L, 9L)
-    val local = GraphSampler.reachSet(g, Array(0), sampleSeed)
-    val viaGraphX = GraphXReach.reachable(spark, g, Set(0), GraphSampler.liveEdge(g, sampleSeed))
-    assert(viaGraphX == local)
+    Oracle.assertEquivalent(reachAllDF(g, 0), recursiveReach(0), "edges" -> g.toDF(spark).select("src", "dst"))
   }
 }
