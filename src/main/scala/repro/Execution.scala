@@ -22,21 +22,25 @@ object Execution {
     * (n + m)), at or above which it fans out over Spark; below it, the job
     * runs on the driver.
     *
-    * Set from one traced perfbench run per workload (`local[2]`, 4 cores):
+    * Set when a driver AG/GR round cost about 10 ns per unit of work and a
+    * Spark round about 52 ms plus 5 ns per unit, so that they broke even
+    * near 1.2·10⁷. Re-measured by one traced perfbench run per workload
+    * (`local[2]`, 4 cores) after AG/GR's samples came to cost what they
+    * reach rather than n:
     *  - one AG round of θ = 100 worlds (`sampling.round_s` on Spark vs
     *    `sampling.round_local_s` on the driver): table7-wiki-tr, work
-    *    9.3·10⁵, 0.057 s vs 0.011 s; sparse-100k-tr, work 4.0·10⁷, 0.246 s vs
-    *    0.378 s. A driver round costs about 10 ns per unit of work, a Spark
-    *    round about 52 ms plus 5 ns per unit, so they break even near
-    *    1.2·10⁷.
+    *    9.4·10⁵, 0.28 s vs 0.0048 s (the Spark probe runs cold there: no
+    *    earlier job of the run warms it); sparse-100k-tr, work 4.0·10⁷,
+    *    0.25 s vs 0.073 s. A driver round now costs about 2–5 ns per unit
+    *    of work, so the driver wins both rounds: n + m no longer measures
+    *    a round, whose samples cost what they reach.
     *  - one MCS evaluation (`spread.mcs_s` vs `spread.mcs_local_s`): table7,
-    *    r = 1000, work 9.4·10⁶, 0.069 s vs 0.0077 s; sparse, r = 100, work
-    *    4.0·10⁷, 0.080 s vs 0.019 s. A simulation visits only the reached
-    *    part of its world (0.5–0.8 ns per unit of work, against about 10 ns
-    *    for a dominator-tree sample), so MCS alone would break even near
-    *    3·10⁸. The constant follows the dominator-tree rounds, which are the
-    *    bulk of an AG/GR run: MCS runs on the driver on table7 and stays on
-    *    Spark on sparse.
+    *    r = 1000, work 9.4·10⁶, 0.12 s vs 0.0033 s; sparse, r = 100, work
+    *    4.0·10⁷, 0.060 s vs 0.0068 s. A simulation too visits only the
+    *    reached part of its world.
+    * The constant is unchanged, so MCS and the AG/GR rounds still run on
+    * the driver on table7 and on Spark on sparse; a price by what a job's
+    * worlds reach would replace it.
     */
   val SparkMinWork: Double = 1e7
 

@@ -7,133 +7,171 @@ import repro.graph.ProbGraph
   *
   * The tree is computed for the subgraph of `g` induced by an edge predicate
   * (the live edges of one sampled world) restricted to the vertices
-  * reachable from `root` — exactly what Algorithm 2 of the paper needs. All
-  * internal state lives in DFS-number ("dfn") space; [[Result]] exposes both
-  * the compact dfn-space arrays (for the subtree-size scan) and an
-  * original-id view (for tests).
+  * reachable from a root set — exactly what Algorithm 2 of the paper needs.
+  * The roots hang below a virtual root, dfn 0, so a seed set needs no §V
+  * seed reduction: in every live-edge world each non-seed vertex has the
+  * same dominator subtree as in the reduced graph, whatever the triggering
+  * model. All internal state lives in DFS-number ("dfn") space, in a
+  * [[Workspace]] that one task reuses for all its samples, so a sample
+  * costs time and allocation in proportion to what it reaches, not to n.
   */
 object DominatorTree {
 
-  /** Dominator tree of one (sampled) graph.
-    *
-    * @param count    number of vertices reachable from the root
-    * @param vertexOf original vertex id of each dfn in `0 until count`
-    * @param idomDfn  immediate dominator in dfn space; `idomDfn(0) == 0`
+  /** The reusable state of [[compute]] for graphs of `n` vertices. Only
+    * `dfn` has n entries; every other array grows with the reach of the
+    * largest sample so far. After a call, entries `0 until count` of
+    * `vertexOf`, `idom` and `size` describe its tree, dfn 0 being the
+    * virtual root; `dfn` is back to −1 everywhere.
     */
-  final class Result(
-      val count: Int,
-      val vertexOf: Array[Int],
-      private val dfnOf: Array[Int],
-      val idomDfn: Array[Int]) {
+  final class Workspace(val n: Int) {
+    private[repro] val dfn: Array[Int] = Array.fill(n)(-1)
+    /** dfns in use by the last sample, the virtual root included. */
+    private[repro] var count = 0
+    /** Original vertex of each dfn; −1 for the virtual root. */
+    private[repro] var vertexOf = new Array[Int](16)
+    /** Immediate dominator in dfn space; `idom(0) == 0`. */
+    private[repro] var idom = new Array[Int](16)
+    /** Dominator-subtree size of each dfn (Theorem 6: σ→u). */
+    private[repro] var size = new Array[Int](16)
 
-    /** Is original vertex `v` reachable from the root? */
-    def reachable(v: Int): Boolean = dfnOf(v) >= 0
+    private[domtree] var parent = new Array[Int](16)
+    private[domtree] var stackV = new Array[Int](16)
+    private[domtree] var stackE = new Array[Int](16)
+    // Live edges met by the DFS, as (source dfn, target dfn) pairs.
+    private[domtree] var edgeSrc = new Array[Int](16)
+    private[domtree] var edgeDst = new Array[Int](16)
+    private[domtree] var predOff = new Array[Int](17)
+    private[domtree] var predSrc = new Array[Int](16)
+    private[domtree] var semi = new Array[Int](16)
+    private[domtree] var label = new Array[Int](16)
+    private[domtree] var ancestor = new Array[Int](16)
+    private[domtree] var bucketHead = new Array[Int](16)
+    private[domtree] var bucketNext = new Array[Int](16)
+    private[domtree] var chain = new Array[Int](16)
 
-    /** Immediate dominator of original vertex `v`; the root maps to itself;
-      * -1 if `v` is unreachable.
+    /** Size the per-dfn arrays for `cnt` dfns and the edge arrays for `ne`
+      * live edges.
       */
-    def idomOf(v: Int): Int = {
-      val d = dfnOf(v)
-      if (d < 0) -1 else vertexOf(idomDfn(d))
-    }
-
-    /** Size of the dominator-tree subtree rooted at each dfn (Theorem 6:
-      * this equals σ→u(s, g), the number of vertices whose every path from
-      * the root passes through u). The root's entry is `count`.
-      */
-    def subtreeSizes: Array[Int] = {
-      val size = Array.fill(count)(1)
-      // idom is always a DFS-tree ancestor, so idomDfn(w) < w and one
-      // reverse scan accumulates children before parents.
-      var w = count - 1
-      while (w >= 1) { size(idomDfn(w)) += size(w); w -= 1 }
-      size
-    }
-
-    /** Subtree size of original vertex `v` (0 if unreachable). */
-    def subtreeSizeOf(v: Int): Int = {
-      val sizes = subtreeSizes
-      val d = dfnOf(v)
-      if (d < 0) 0 else sizes(d)
+    private[domtree] def fit(cnt: Int, ne: Int): Unit = {
+      if (idom.length < cnt) {
+        val c = math.max(cnt, 2 * idom.length)
+        idom = new Array[Int](c); size = new Array[Int](c)
+        semi = new Array[Int](c); label = new Array[Int](c); ancestor = new Array[Int](c)
+        bucketHead = new Array[Int](c); bucketNext = new Array[Int](c); chain = new Array[Int](c)
+        predOff = new Array[Int](c + 1)
+      }
+      if (predSrc.length < ne) predSrc = new Array[Int](math.max(ne, 2 * predSrc.length))
     }
   }
 
-  /** Compute the dominator tree of the subgraph of `g` whose edges satisfy
-    * `keepEdge`, restricted to vertices reachable from `root`.
+  private def grown(a: Array[Int]): Array[Int] = java.util.Arrays.copyOf(a, 2 * a.length)
+
+  /** The one dominator-tree kernel. Computes, into `ws`, the dominator tree
+    * of the subgraph of `g` whose edges satisfy `keepEdge`, restricted to
+    * the vertices reachable from a virtual root whose children are the
+    * unblocked `roots`. It never enters a `blocked` vertex (null: none)
+    * and asks `keepEdge` at most once per edge: only about the out-edges of
+    * reached vertices into unblocked ones.
     */
-  def compute(g: ProbGraph, root: Int, keepEdge: Int => Boolean): Result = {
-    val n = g.n
-    val dfn = new Array[Int](n)
-    java.util.Arrays.fill(dfn, -1)
-    val vertexOf = new Array[Int](n)
-    val parent = new Array[Int](n) // dfn space
+  def compute(
+      g: ProbGraph,
+      roots: Array[Int],
+      blocked: Array[Boolean],
+      keepEdge: Int => Boolean,
+      ws: Workspace): Unit = {
+    require(ws.n == g.n, s"workspace for ${ws.n} vertices used on a graph of ${g.n}")
+    val offsets = g.offsets
+    val targets = g.targets
+    val dfn = ws.dfn
 
-    // --- Step 1: iterative DFS numbering over live edges --------------------
-    val stackV = new Array[Int](n)
-    val stackE = new Array[Int](n)
-    var sp = 0
-    var cnt = 0
-    dfn(root) = cnt; vertexOf(cnt) = root; parent(0) = 0; cnt += 1
-    stackV(0) = root; stackE(0) = g.offsets(root); sp = 1
-    while (sp > 0) {
-      val u = stackV(sp - 1)
-      var e = stackE(sp - 1)
-      val end = g.offsets(u + 1)
-      var descended = false
-      while (e < end && !descended) {
-        val v = g.targets(e)
-        if (keepEdge(e) && dfn(v) < 0) {
-          stackE(sp - 1) = e + 1
-          dfn(v) = cnt; vertexOf(cnt) = v; parent(cnt) = dfn(u); cnt += 1
-          stackV(sp) = v; stackE(sp) = g.offsets(v); sp += 1
-          descended = true
+    // --- Step 1: iterative DFS numbering from the virtual root --------------
+    // Every live edge met is recorded, so the predecessor lists need no
+    // second pass over the edges.
+    var vertexOf = ws.vertexOf
+    var parent = ws.parent
+    var stackV = ws.stackV
+    var stackE = ws.stackE
+    var edgeSrc = ws.edgeSrc
+    var edgeDst = ws.edgeDst
+    vertexOf(0) = -1; parent(0) = 0
+    var cnt = 1
+    var ne = 0
+    var ri = 0
+    while (ri < roots.length) {
+      val r = roots(ri)
+      if (blocked == null || !blocked(r)) {
+        var sp = 0
+        if (dfn(r) < 0) {
+          if (cnt == vertexOf.length) { vertexOf = grown(vertexOf); parent = grown(parent) }
+          dfn(r) = cnt; vertexOf(cnt) = r; parent(cnt) = 0; cnt += 1
+          stackV(0) = r; stackE(0) = offsets(r); sp = 1
         }
-        e += 1
+        // The virtual edge 0 -> r is a predecessor of r even when another
+        // root's search reached r first.
+        if (ne == edgeSrc.length) { edgeSrc = grown(edgeSrc); edgeDst = grown(edgeDst) }
+        edgeSrc(ne) = 0; edgeDst(ne) = dfn(r); ne += 1
+        while (sp > 0) {
+          val u = stackV(sp - 1)
+          val du = dfn(u)
+          var e = stackE(sp - 1)
+          val end = offsets(u + 1)
+          var descended = false
+          while (e < end && !descended) {
+            val v = targets(e)
+            if ((blocked == null || !blocked(v)) && keepEdge(e)) {
+              var dv = dfn(v)
+              if (dv < 0) {
+                if (cnt == vertexOf.length) { vertexOf = grown(vertexOf); parent = grown(parent) }
+                dv = cnt; dfn(v) = dv; vertexOf(dv) = v; parent(dv) = du; cnt += 1
+                stackE(sp - 1) = e + 1
+                if (sp == stackV.length) { stackV = grown(stackV); stackE = grown(stackE) }
+                stackV(sp) = v; stackE(sp) = offsets(v); sp += 1
+                descended = true
+              }
+              if (ne == edgeSrc.length) { edgeSrc = grown(edgeSrc); edgeDst = grown(edgeDst) }
+              edgeSrc(ne) = du; edgeDst(ne) = dv; ne += 1
+            }
+            e += 1
+          }
+          if (!descended) sp -= 1
+        }
       }
-      if (!descended) { stackE(sp - 1) = e; sp -= 1 }
+      ri += 1
     }
+    ws.vertexOf = vertexOf; ws.parent = parent; ws.stackV = stackV; ws.stackE = stackE
+    ws.edgeSrc = edgeSrc; ws.edgeDst = edgeDst
+    ws.fit(cnt, ne)
 
-    // --- Predecessor lists in dfn space (CSR over live edges) ---------------
-    val predOff = new Array[Int](cnt + 1)
-    var i = 0
-    while (i < cnt) {
-      val u = vertexOf(i)
-      g.foreachOut(u) { (e, v, _) =>
-        if (keepEdge(e) && dfn(v) >= 0) predOff(dfn(v) + 1) += 1
-      }
-      i += 1
+    // --- Predecessor lists in dfn space (counting sort of the live edges) ---
+    val predOff = ws.predOff
+    val predSrc = ws.predSrc
+    java.util.Arrays.fill(predOff, 0, cnt + 1, 0)
+    var k = 0
+    while (k < ne) { predOff(edgeDst(k)) += 1; k += 1 }
+    var i = 1
+    while (i < cnt) { predOff(i) += predOff(i - 1); i += 1 }
+    k = 0
+    while (k < ne) {
+      val d = edgeDst(k)
+      predOff(d) -= 1; predSrc(predOff(d)) = edgeSrc(k)
+      k += 1
     }
-    i = 0
-    while (i < cnt) { predOff(i + 1) += predOff(i); i += 1 }
-    val predSrc = new Array[Int](predOff(cnt))
-    val cursor = predOff.clone()
-    i = 0
-    while (i < cnt) {
-      val u = vertexOf(i)
-      g.foreachOut(u) { (e, v, _) =>
-        if (keepEdge(e) && dfn(v) >= 0) {
-          val w = dfn(v)
-          predSrc(cursor(w)) = i; cursor(w) += 1
-        }
-      }
-      i += 1
-    }
+    predOff(cnt) = ne
 
     // --- Steps 2-4: Lengauer-Tarjan with path compression -------------------
-    val semi = new Array[Int](cnt)
-    val label = new Array[Int](cnt)
-    val ancestor = new Array[Int](cnt)
-    val dom = new Array[Int](cnt)
-    val bucketHead = new Array[Int](cnt)
-    val bucketNext = new Array[Int](cnt)
+    val semi = ws.semi
+    val label = ws.label
+    val ancestor = ws.ancestor
+    val dom = ws.idom
+    val bucketHead = ws.bucketHead
+    val bucketNext = ws.bucketNext
+    val chain = ws.chain
     i = 0
     while (i < cnt) {
-      semi(i) = i; label(i) = i; ancestor(i) = -1
-      bucketHead(i) = -1; bucketNext(i) = -1
+      semi(i) = i; label(i) = i; ancestor(i) = -1; bucketHead(i) = -1
       i += 1
     }
 
-    val chain = new Array[Int](cnt)
     def eval(v0: Int): Int = {
       if (ancestor(v0) < 0) v0
       else {
@@ -184,7 +222,81 @@ object DominatorTree {
       w += 1
     }
 
-    new Result(cnt, java.util.Arrays.copyOf(vertexOf, cnt), dfn, dom)
+    // Subtree sizes: idom is always a DFS-tree ancestor, so idom(w) < w and
+    // one reverse scan accumulates children before parents.
+    val size = ws.size
+    java.util.Arrays.fill(size, 0, cnt, 1)
+    w = cnt - 1
+    while (w >= 1) { size(dom(w)) += size(w); w -= 1 }
+
+    // Leave dfn as it was found, touching only the reached vertices.
+    i = 1
+    while (i < cnt) { dfn(vertexOf(i)) = -1; i += 1 }
+    ws.count = cnt
+  }
+
+  /** Dominator tree of one (sampled) graph from a single root.
+    *
+    * @param count    number of vertices reachable from the root
+    * @param vertexOf original vertex id of each dfn in `0 until count`
+    * @param idomDfn  immediate dominator in dfn space; `idomDfn(0) == 0`
+    */
+  final class Result(
+      val count: Int,
+      val vertexOf: Array[Int],
+      private val dfnOf: Array[Int],
+      val idomDfn: Array[Int]) {
+
+    /** Is original vertex `v` reachable from the root? */
+    def reachable(v: Int): Boolean = dfnOf(v) >= 0
+
+    /** Immediate dominator of original vertex `v`; the root maps to itself;
+      * -1 if `v` is unreachable.
+      */
+    def idomOf(v: Int): Int = {
+      val d = dfnOf(v)
+      if (d < 0) -1 else vertexOf(idomDfn(d))
+    }
+
+    /** Size of the dominator-tree subtree rooted at each dfn (Theorem 6:
+      * this equals σ→u(s, g), the number of vertices whose every path from
+      * the root passes through u). The root's entry is `count`.
+      */
+    def subtreeSizes: Array[Int] = {
+      val size = Array.fill(count)(1)
+      var w = count - 1
+      while (w >= 1) { size(idomDfn(w)) += size(w); w -= 1 }
+      size
+    }
+
+    /** Subtree size of original vertex `v` (0 if unreachable). */
+    def subtreeSizeOf(v: Int): Int = {
+      val sizes = subtreeSizes
+      val d = dfnOf(v)
+      if (d < 0) 0 else sizes(d)
+    }
+  }
+
+  /** The dominator tree of the subgraph of `g` whose edges satisfy
+    * `keepEdge`, restricted to vertices reachable from `root`: the kernel
+    * with one root, renumbered so that the root is dfn 0.
+    */
+  def compute(g: ProbGraph, root: Int, keepEdge: Int => Boolean): Result = {
+    val ws = new Workspace(g.n)
+    compute(g, Array(root), null, keepEdge, ws)
+    // The root is dfn 1 below the virtual root and dominates every other
+    // reached vertex, so dropping dfn 0 shifts every dfn and idom by one.
+    val count = ws.count - 1
+    val vertexOf = java.util.Arrays.copyOfRange(ws.vertexOf, 1, ws.count)
+    val idomDfn = new Array[Int](count)
+    val dfnOf = ws.dfn
+    var d = 0
+    while (d < count) {
+      if (d > 0) idomDfn(d) = ws.idom(d + 1) - 1
+      dfnOf(vertexOf(d)) = d
+      d += 1
+    }
+    new Result(count, vertexOf, dfnOf, idomDfn)
   }
 
   /** Dominator tree of the whole graph (every edge live). */

@@ -2,7 +2,7 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.Execution
-import repro.graph.{ProbGraph, SeedReduction}
+import repro.graph.ProbGraph
 import repro.sampling.TriggeringModel
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
@@ -46,31 +46,32 @@ object AdvancedGreedy {
       masterSeed: Long,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Map[Int, Seq[Int]] = {
     require(budgets.nonEmpty && budgets.forall(_ >= 1), "budgets must be positive")
-    val (red, notSeed) = Blocking.reduced(g, seeds)
-    select(Execution.cluster(spark, red.graph, theta), red, notSeed, budgets, theta, masterSeed, model)
+    select(Execution.cluster(spark, g, theta), g, seeds, budgets, theta, masterSeed, model)
   }
 
-  /** AG's rounds on a reduced instance, on the driver (`cluster = None`) or
+  /** AG's rounds on `g` from `seeds`, on the driver (`cluster = None`) or
     * as one Spark job per round.
     */
   private[imin] def select(
       cluster: Option[SparkSession],
-      red: SeedReduction.Reduced,
-      notSeed: Int => Boolean,
+      g: ProbGraph,
+      seeds: Set[Int],
       budgets: Seq[Int],
       theta: Int,
       masterSeed: Long,
       model: TriggeringModel): Map[Int, Seq[Int]] = {
     val b = budgets.max
-    val blocked = new Array[Boolean](red.graph.n)
+    val roots = Blocking.rootsOf(g, seeds)
+    val isSeed = Blocking.maskOf(g.n, roots)
+    val blocked = new Array[Boolean](g.n)
     val order = ArrayBuffer.empty[Int]
 
     var i = 0
     var exhausted = false
     while (i < b && !exhausted) {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val delta = Blocking.roundDeltas(cluster, red, blocked, theta, roundSeed, model)
-      val x = Blocking.argmaxDelta(delta, v => !blocked(v) && notSeed(v))
+      val delta = Blocking.roundDeltas(cluster, g, roots, blocked, theta, roundSeed, model)
+      val x = Blocking.argmaxDelta(delta, v => !blocked(v) && !isSeed(v))
       if (x < 0 || delta(x) <= 0.0) exhausted = true // nothing left to gain
       else { blocked(x) = true; order += x }
       i += 1

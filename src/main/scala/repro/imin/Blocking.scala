@@ -36,8 +36,16 @@ object Blocking {
     best
   }
 
-  /** Reduce to a single-seed instance and build the candidate filter: the
-    * unified seed and the (now isolated) original seeds are never blockable.
+  /** The seed set as a sorted root array, checked against `g`. */
+  def rootsOf(g: ProbGraph, seeds: Set[Int]): Array[Int] = {
+    require(seeds.nonEmpty, "seed set must be non-empty")
+    seeds.foreach(s => require(s >= 0 && s < g.n, s"seed $s out of range"))
+    seeds.toArray.sorted
+  }
+
+  /** Reduce to a single-seed instance (paper §V) and build the candidate
+    * filter: the unified seed and the (now isolated) original seeds are
+    * never blockable. Only BaselineGreedy still runs on the reduction.
     */
   def reduced(g: ProbGraph, seeds: Set[Int]): (SeedReduction.Reduced, Int => Boolean) = {
     val red = SeedReduction.reduce(g, seeds)
@@ -45,21 +53,20 @@ object Blocking {
     (red, notSeed)
   }
 
-  /** One AG/GR round: Δ of every vertex of the reduced graph once `blocked`
-    * vertices are removed (Algorithm 2), on the driver (`cluster = None`) or
-    * as one Spark job.
+  /** One AG/GR round: Δ of every vertex of `g` with the seeds `roots` and
+    * the `blocked` vertices masked out (Algorithm 2), on the driver
+    * (`cluster = None`) or as one Spark job.
     */
   private[imin] def roundDeltas(
       cluster: Option[SparkSession],
-      red: SeedReduction.Reduced,
+      g: ProbGraph,
+      roots: Array[Int],
       blocked: Array[Boolean],
       theta: Int,
       roundSeed: Long,
-      model: TriggeringModel): Array[Double] = {
-    val current = red.graph.blockVertices(blocked)
+      model: TriggeringModel): Array[Double] =
     cluster match {
-      case Some(spark) => DeltaEstimator.estimate(spark, current, red.superSeed, theta, roundSeed, model)
-      case None => DeltaEstimator.estimateLocal(current, red.superSeed, theta, roundSeed, model)
+      case Some(spark) => DeltaEstimator.estimate(spark, g, roots, blocked, theta, roundSeed, model)
+      case None => DeltaEstimator.estimateLocal(g, roots, blocked, theta, roundSeed, model)
     }
-  }
 }

@@ -2,7 +2,7 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.Execution
-import repro.graph.{ProbGraph, SeedReduction}
+import repro.graph.ProbGraph
 import repro.sampling.TriggeringModel
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
@@ -32,8 +32,7 @@ object GreedyReplace {
       theta: Int,
       masterSeed: Long,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Seq[Int] = {
-    val (red, notSeed) = Blocking.reduced(g, seeds)
-    select(Execution.cluster(spark, red.graph, theta), red, notSeed, b, theta, masterSeed, model, replace = true)
+    select(Execution.cluster(spark, g, theta), g, seeds, b, theta, masterSeed, model, replace = true)
   }
 
   /** Phase 1 only — the "OutNeighbors" heuristic of Example 3 / Table III:
@@ -46,33 +45,41 @@ object GreedyReplace {
       b: Int,
       theta: Int,
       masterSeed: Long): Seq[Int] = {
-    val (red, notSeed) = Blocking.reduced(g, seeds)
-    select(Execution.cluster(spark, red.graph, theta), red, notSeed, b, theta, masterSeed,
+    select(Execution.cluster(spark, g, theta), g, seeds, b, theta, masterSeed,
       TriggeringModel.IndependentCascade, replace = false)
   }
 
-  /** GR's rounds on a reduced instance, on the driver (`cluster = None`) or
+  /** Phase 1's candidate blockers (Line 1): the out-neighbors of the
+    * unified seed, i.e. the non-seed targets of the seeds' `p > 0` edges.
+    */
+  private[imin] def seedOutNeighbors(g: ProbGraph, seeds: Set[Int]): Set[Int] =
+    (for {
+      s <- seeds.iterator
+      e <- g.offsets(s) until g.offsets(s + 1)
+      if g.probs(e) > 0.0 && !seeds.contains(g.targets(e))
+    } yield g.targets(e)).toSet
+
+  /** GR's rounds on `g` from `seeds`, on the driver (`cluster = None`) or
     * as one Spark job per round.
     */
   private[imin] def select(
       cluster: Option[SparkSession],
-      red: SeedReduction.Reduced,
-      notSeed: Int => Boolean,
+      g: ProbGraph,
+      seeds: Set[Int],
       b: Int,
       theta: Int,
       masterSeed: Long,
       model: TriggeringModel,
       replace: Boolean): Seq[Int] = {
     require(b >= 1, "budget must be positive")
-    val rg = red.graph
+    val roots = Blocking.rootsOf(g, seeds)
+    val isSeed = Blocking.maskOf(g.n, roots)
 
     def deltasOf(blocked: Array[Boolean], roundSeed: Long): Array[Double] =
-      Blocking.roundDeltas(cluster, red, blocked, theta, roundSeed, model)
+      Blocking.roundDeltas(cluster, g, roots, blocked, theta, roundSeed, model)
 
-    // Candidate blockers of phase 1: the seed's out-neighbors (Line 1).
-    val cb = scala.collection.mutable.LinkedHashSet.empty[Int]
-    rg.foreachOut(red.superSeed)((_, v, _) => cb += v)
-    val blocked = new Array[Boolean](rg.n)
+    val cb = seedOutNeighbors(g, seeds)
+    val blocked = new Array[Boolean](g.n)
     val order = ArrayBuffer.empty[Int]
 
     // Phase 1 (Lines 3-10): min(d_out, b) greedy rounds restricted to CB.
@@ -82,8 +89,8 @@ object GreedyReplace {
       val delta = deltasOf(blocked, Rng.splitmix64(masterSeed ^ (i + 1).toLong))
       val x = Blocking.argmaxDelta(delta, v => cb.contains(v) && !blocked(v))
       // x >= 0 because |CB| >= rounds; zero-delta out-neighbors are still
-      // taken, mirroring "first select b out-neighbors".
-      cb -= x
+      // taken, mirroring "first select b out-neighbors". A taken x stays in
+      // CB but is blocked.
       blocked(x) = true
       order += x
       i += 1
@@ -98,7 +105,7 @@ object GreedyReplace {
         blocked(u) = false
         order.remove(j)
         val delta = deltasOf(blocked, Rng.splitmix64(masterSeed ^ 0x5deece66dL ^ (j + 1).toLong))
-        val x = Blocking.argmaxDelta(delta, v => !blocked(v) && notSeed(v))
+        val x = Blocking.argmaxDelta(delta, v => !blocked(v) && !isSeed(v))
         val pick = if (x >= 0) x else u
         blocked(pick) = true
         order += pick

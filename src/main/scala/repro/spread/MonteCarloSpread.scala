@@ -23,11 +23,23 @@ object MonteCarloSpread {
     var sum = 0L
     var i = 0L
     while (i < r) {
-      java.util.Arrays.fill(vis, false)
-      sum += GraphSampler.reach(g, roots, blocked, vis)(GraphSampler.liveEdge(g, Rng.sampleSeed(masterSeed, i)))
+      sum += reachWorld(g, roots, Rng.sampleSeed(masterSeed, i), blocked, vis)
       i += 1
     }
     sum
+  }
+
+  /** Reach count of `roots` in the world keyed by `sampleSeed`, reusing
+    * `vis` (cleared first).
+    */
+  private def reachWorld(
+      g: ProbGraph,
+      roots: Array[Int],
+      sampleSeed: Long,
+      blocked: Array[Boolean],
+      vis: Array[Boolean]): Int = {
+    java.util.Arrays.fill(vis, false)
+    GraphSampler.reach(g, roots, blocked, vis)(GraphSampler.liveEdge(g, sampleSeed))
   }
 
   /** Driver-side estimate over `r` simulations. */
@@ -42,7 +54,8 @@ object MonteCarloSpread {
   }
 
   /** Distributed estimate: `r` simulations fanned out over `spark.range(r)`,
-    * partition-local sums of reach counts, merged on the driver.
+    * partition-local sums of reach counts (one `vis` per partition), merged
+    * on the driver.
     */
   def spread(
       spark: SparkSession,
@@ -60,8 +73,9 @@ object MonteCarloSpread {
         .as[Long]
         .mapPartitions { ids =>
           val (graph, rs, blk) = bc.value
+          val vis = new Array[Boolean](graph.n)
           var sum = 0L
-          ids.foreach(id => sum += GraphSampler.reachCount(graph, rs, Rng.sampleSeed(masterSeed, id), blk.orNull))
+          ids.foreach(id => sum += reachWorld(graph, rs, Rng.sampleSeed(masterSeed, id), blk.orNull, vis))
           Iterator.single(sum)
         }
         .collect()

@@ -1,7 +1,9 @@
 package repro.domtree
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.{ProbGraph, ToyGraph}
+import repro.graph.{ProbGraph, SeedReduction, ToyGraph}
+import repro.sampling.GraphSampler
+import repro.util.Rng
 
 class DominatorTreeSpec extends AnyFunSuite {
 
@@ -191,5 +193,92 @@ class DominatorTreeSpec extends AnyFunSuite {
     val b = DominatorTree.compute(g, ToyGraph.seed, _ => true)
     assert(a.count == b.count)
     assert((0 until g.n).forall(v => a.idomOf(v) == b.idomOf(v)))
+  }
+
+  /** Subtree size per reached vertex after one kernel call. */
+  private def kernelSizes(
+      g: ProbGraph,
+      roots: Array[Int],
+      blocked: Array[Boolean],
+      keep: Int => Boolean,
+      ws: DominatorTree.Workspace): Map[Int, Int] = {
+    DominatorTree.compute(g, roots, blocked, keep, ws)
+    (1 until ws.count).map(i => ws.vertexOf(i) -> ws.size(i)).toMap
+  }
+
+  /** A random graph on `n` vertices with about `k` edges per vertex. */
+  private def randomGraph(rnd: scala.util.Random, n: Int, k: Int, probs: Seq[Double] = Seq(1.0)): ProbGraph =
+    ProbGraph.fromEdges(n, Seq.fill(k * n)((rnd.nextInt(n), rnd.nextInt(n), probs(rnd.nextInt(probs.size))))
+      .filter(e => e._1 != e._2))
+
+  test("keepEdge is asked at most once per edge per sample") {
+    val rnd = new scala.util.Random(31)
+    for (trial <- 1 to 50) {
+      val g = randomGraph(rnd, 3 + rnd.nextInt(30), 3)
+      val keepMask = Array.fill(g.m)(rnd.nextDouble() < 0.7)
+      val calls = new Array[Int](g.m)
+      val counting = (e: Int) => { calls(e) += 1; keepMask(e) }
+      DominatorTree.compute(g, 0, counting)
+      assert(calls.forall(_ <= 1), s"single root, trial=$trial")
+      java.util.Arrays.fill(calls, 0)
+      val blocked = Array.fill(g.n)(rnd.nextDouble() < 0.2)
+      DominatorTree.compute(g, Array(0, 1, 2).filter(_ < g.n), blocked, counting, new DominatorTree.Workspace(g.n))
+      assert(calls.forall(_ <= 1), s"roots and mask, trial=$trial")
+    }
+  }
+
+  test("a reused workspace gives a fresh one's subtree sizes and leaves every dfn at -1") {
+    val rnd = new scala.util.Random(32)
+    val g = randomGraph(rnd, 300, 4)
+    val roots = Array(0, 7, 42)
+    val narrow = (e: Int) => Rng.edgeUniform(1L, e) < 0.1
+    val wide = (_: Int) => true
+    val mask = Array.fill(g.n)(rnd.nextDouble() < 0.3)
+    val ws = new DominatorTree.Workspace(g.n)
+    for ((keep, blocked, what) <- Seq((narrow, null, "narrow"), (wide, null, "wide"), (wide, mask, "masked"),
+        (narrow, null, "narrow again"))) {
+      val reused = kernelSizes(g, roots, blocked, keep, ws)
+      val fresh = kernelSizes(g, roots, blocked, keep, new DominatorTree.Workspace(g.n))
+      assert(reused == fresh, what)
+      assert(ws.dfn.forall(_ == -1), what)
+    }
+    assert(kernelSizes(g, roots, null, wide, ws).size > 100) // the wide world outgrew the initial arrays
+  }
+
+  test("the multi-root kernel matches brute force below a virtual root on the blocked graph") {
+    val rnd = new scala.util.Random(33)
+    for (trial <- 1 to 100) {
+      val n = 3 + rnd.nextInt(20)
+      val g = randomGraph(rnd, n, 3)
+      val roots = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(n))
+      val mask = Array.fill(n)(rnd.nextDouble() < 0.25)
+      val ws = new DominatorTree.Workspace(n)
+      DominatorTree.compute(g, roots, mask, _ => true, ws)
+      // Vertex n is the virtual root of the brute-force graph.
+      val lifted = ProbGraph.fromEdges(n + 1,
+        g.blockVertices(mask).edgeTriples ++ roots.filterNot(mask).map(r => (n, r, 1.0)))
+      val bf = DominatorTree.bruteForceIdoms(lifted, n)
+      val kernel = Array.fill(n)(-1)
+      for (i <- 1 until ws.count) kernel(ws.vertexOf(i)) = if (ws.idom(i) == 0) n else ws.vertexOf(ws.idom(i))
+      assert(kernel.toSeq == bf.toSeq.take(n), s"trial=$trial roots=${roots.toSeq} mask=${mask.toSeq}")
+    }
+  }
+
+  test("the virtual root gives the subtree sizes of the seed reduction in every world (paper §V)") {
+    val rnd = new scala.util.Random(34)
+    for (trial <- 1 to 1000) {
+      val n = 3 + rnd.nextInt(9)
+      val g = randomGraph(rnd, n, 2, Seq(0.0, 0.4, 1.0))
+      val seeds = Set.fill(2 + rnd.nextInt(2))(rnd.nextInt(n))
+      val mask = Array.tabulate(n)(v => !seeds(v) && rnd.nextDouble() < 0.2)
+      val live = GraphSampler.edgeMask(g, Rng.sampleSeed(35L, trial.toLong))
+      val kernel = kernelSizes(g, seeds.toArray.sorted, mask, live, new DominatorTree.Workspace(n))
+      // The same world as a graph of certain edges, blocked, then reduced.
+      val world = ProbGraph.fromEdges(n, g.edgeTriples.zip(live).collect { case ((u, v, _), true) => (u, v, 1.0) })
+      val red = SeedReduction.reduce(world.blockVertices(mask), seeds)
+      val dt = DominatorTree.compute(red.graph, red.superSeed, _ => true)
+      for (v <- 0 until n if !seeds(v))
+        assert(kernel.getOrElse(v, 0) == dt.subtreeSizeOf(v), s"trial=$trial v=$v seeds=$seeds edges=${g.edgeTriples}")
+    }
   }
 }

@@ -29,9 +29,8 @@ class AdvancedGreedySpec extends SparkSpec {
   }
 
   test("distributed run gives the same blockers as local (same worlds)") {
-    val (red, notSeed) = Blocking.reduced(g, seeds)
-    val a = AdvancedGreedy.select(None, red, notSeed, Seq(2), 1000, 3L, IndependentCascade)
-    val b = AdvancedGreedy.select(Some(spark), red, notSeed, Seq(2), 1000, 3L, IndependentCascade)
+    val a = AdvancedGreedy.select(None, g, seeds, Seq(2), 1000, 3L, IndependentCascade)
+    val b = AdvancedGreedy.select(Some(spark), g, seeds, Seq(2), 1000, 3L, IndependentCascade)
     assert(a == b)
     assert(a(2) == AdvancedGreedy.run(spark, g, seeds, 2, 1000, 3L))
   }

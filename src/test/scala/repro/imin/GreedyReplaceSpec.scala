@@ -1,7 +1,7 @@
 package repro.imin
 
 import repro.SparkSpec
-import repro.graph.{ProbGraph, ToyGraph}
+import repro.graph.{ProbGraph, SeedReduction, ToyGraph}
 import repro.sampling.TriggeringModel.IndependentCascade
 import repro.spread.ExactSpread
 
@@ -50,9 +50,8 @@ class GreedyReplaceSpec extends SparkSpec {
   }
 
   test("distributed run equals local run") {
-    val (red, notSeed) = Blocking.reduced(g, seeds)
-    val a = GreedyReplace.select(None, red, notSeed, 2, 1000, 8L, IndependentCascade, replace = true)
-    val b = GreedyReplace.select(Some(spark), red, notSeed, 2, 1000, 8L, IndependentCascade, replace = true)
+    val a = GreedyReplace.select(None, g, seeds, 2, 1000, 8L, IndependentCascade, replace = true)
+    val b = GreedyReplace.select(Some(spark), g, seeds, 2, 1000, 8L, IndependentCascade, replace = true)
     assert(a == b)
     assert(a == GreedyReplace.run(spark, g, seeds, 2, 1000, 8L))
   }
@@ -92,6 +91,21 @@ class GreedyReplaceSpec extends SparkSpec {
     // the only out-neighbor of the unified seed is 2; replacing it cannot
     // improve (2 cuts off 6 vertices, 3 only 5)
     assert(gr == Seq(2))
+  }
+
+  test("phase-1 candidates are the out-neighbors of the reduction's unified seed") {
+    val rnd = new scala.util.Random(21)
+    for (trial <- 1 to 200) {
+      val n = 3 + rnd.nextInt(10)
+      // p = 0 edges, seed -> seed edges and edges into seeds all occur.
+      val edges = Seq.fill(2 * n)((rnd.nextInt(n), rnd.nextInt(n), Seq(0.0, 0.3, 1.0)(rnd.nextInt(3))))
+        .filter(e => e._1 != e._2)
+      val h = ProbGraph.fromEdges(n, edges)
+      val seeds = Set.fill(1 + rnd.nextInt(3))(rnd.nextInt(n))
+      val red = SeedReduction.reduce(h, seeds)
+      assert(GreedyReplace.seedOutNeighbors(h, seeds) == red.graph.outNeighbors(red.superSeed).toSet,
+        s"trial=$trial seeds=$seeds edges=${h.edgeTriples}")
+    }
   }
 
   test("budget must be positive") {

@@ -54,31 +54,26 @@ class IminIntegrationSpec extends SparkSpec {
   }
 
   test("distributed AG equals local AG on a generated dataset") {
-    val (red, notSeed) = Blocking.reduced(gTR, seeds)
-    val a = AdvancedGreedy.select(None, red, notSeed, Seq(3), 100, 6L, IndependentCascade)
-    val b = AdvancedGreedy.select(Some(spark), red, notSeed, Seq(3), 100, 6L, IndependentCascade)
+    val a = AdvancedGreedy.select(None, gTR, seeds, Seq(3), 100, 6L, IndependentCascade)
+    val b = AdvancedGreedy.select(Some(spark), gTR, seeds, Seq(3), 100, 6L, IndependentCascade)
     assert(a == b)
     assert(a(3) == AdvancedGreedy.run(spark, gTR, seeds, 3, 100, 6L))
   }
 
   test("distributed GR equals local GR on a generated dataset") {
-    val (red, notSeed) = Blocking.reduced(gWC, seeds)
-    val a = GreedyReplace.select(None, red, notSeed, 3, 100, 7L, IndependentCascade, replace = true)
-    val b = GreedyReplace.select(Some(spark), red, notSeed, 3, 100, 7L, IndependentCascade, replace = true)
+    val a = GreedyReplace.select(None, gWC, seeds, 3, 100, 7L, IndependentCascade, replace = true)
+    val b = GreedyReplace.select(Some(spark), gWC, seeds, 3, 100, 7L, IndependentCascade, replace = true)
     assert(a == b)
     assert(a == GreedyReplace.run(spark, gWC, seeds, 3, 100, 7L))
   }
 
   test("Theorem 5 empirically: estimation error shrinks as theta grows") {
-    // Use the reduced single-seed instance; compare theta=50 vs theta=5000
-    // estimates of the top blocker's delta against a theta=50000 reference.
-    val (red, _) = Blocking.reduced(gWC, seeds)
-    val ref = DeltaEstimator.estimateLocal(red.graph, red.superSeed, 50000, 100L)
-    val top = (0 until red.graph.n).filter(_ != red.superSeed).maxBy(ref)
-    def err(theta: Int, seed: Long): Double = {
-      val est = DeltaEstimator.estimateLocal(red.graph, red.superSeed, theta, seed)
-      math.abs(est(top) - ref(top))
-    }
+    // Compare theta=50 vs theta=5000 estimates of the top blocker's delta
+    // against a theta=50000 reference, all from the seeds on gWC itself.
+    def est(theta: Int, seed: Long) = DeltaEstimator.estimateLocal(gWC, roots, null, theta, seed, IndependentCascade)
+    val ref = est(50000, 100L)
+    val top = (0 until gWC.n).maxBy(ref)
+    def err(theta: Int, seed: Long): Double = math.abs(est(theta, seed)(top) - ref(top))
     val coarse = (1 to 5).map(i => err(50, 200L + i)).sum / 5
     val fine = (1 to 5).map(i => err(5000, 300L + i)).sum / 5
     assert(fine < coarse, s"error theta=5000 ($fine) should be below theta=50 ($coarse)")

@@ -1,7 +1,8 @@
 package repro.sampling
 
 import repro.SparkSpec
-import repro.graph.{ProbGraph, SeedReduction, ToyGraph}
+import repro.domtree.DominatorTree
+import repro.graph.{ProbGraph, ToyGraph}
 import repro.spread.ExactSpread
 import repro.util.Rng
 
@@ -38,8 +39,8 @@ class DeltaEstimatorSpec extends SparkSpec {
       val h = ProbGraph.fromEdges(n, edges)
       val sampleSeed = Rng.sampleSeed(100L + trial, 0L)
       val acc = new Array[Double](n)
-      DeltaEstimator.accumulateSample(h, 0, sampleSeed, acc)
-      val live = GraphSampler.liveEdge(h, sampleSeed)
+      DeltaEstimator.accumulateSample(h, Array(0), null, sampleSeed, acc, new DominatorTree.Workspace(n),
+        TriggeringModel.IndependentCascade)
       val full = GraphSampler.reachSet(h, Array(0), sampleSeed)
       for (u <- 1 until n) {
         val blocked = new Array[Boolean](n); blocked(u) = true
@@ -47,7 +48,6 @@ class DeltaEstimatorSpec extends SparkSpec {
         val sigma = full.size - without.size
         assert(acc(u) == sigma.toDouble, s"trial=$trial u=$u")
       }
-      val _ = live
     }
   }
 
@@ -75,16 +75,22 @@ class DeltaEstimatorSpec extends SparkSpec {
       assert(math.abs(local(u) - dist(u)) < 1e-9, s"u=$u local=${local(u)} dist=${dist(u)}")
   }
 
-  test("estimate on a reduced multi-seed graph matches exact spread decreases") {
+  test("multi-seed estimate matches exact spread decreases") {
+    // Seeds 0 and 1 share the out-neighbor 2; no seed reduction is built.
     val h = ProbGraph.fromEdges(
       6,
-      Seq((0, 2, 0.5), (1, 2, 0.5), (0, 3, 1.0), (1, 4, 0.4), (2, 5, 0.8), (3, 5, 0.3)))
-    val red = SeedReduction.reduce(h, Set(0, 1))
-    val delta = DeltaEstimator.estimateLocal(red.graph, red.superSeed, 60000, 11L)
-    val base = ExactSpread.spread(red.graph, Array(red.superSeed))
-    for (u <- 2 until 6) {
-      val exact = base - ExactSpread.spreadWithBlockers(red.graph, Array(red.superSeed), Seq(u))
-      assert(math.abs(delta(u) - exact) < 0.03, s"u=$u")
+      Seq((0, 2, 0.5), (1, 2, 0.5), (0, 3, 1.0), (1, 4, 0.4), (2, 5, 0.8), (3, 5, 0.3), (1, 0, 0.7)))
+    val seeds = Array(0, 1)
+    for (blockers <- Seq(Seq.empty[Int], Seq(3))) {
+      val mask = new Array[Boolean](h.n)
+      blockers.foreach(mask(_) = true)
+      val delta = DeltaEstimator.estimateLocal(h, seeds, mask, 60000, 11L, TriggeringModel.IndependentCascade)
+      val base = ExactSpread.spreadWithBlockers(h, seeds, blockers)
+      for (u <- 2 until 6 if !blockers.contains(u)) {
+        val exact = base - ExactSpread.spreadWithBlockers(h, seeds, u +: blockers)
+        assert(math.abs(delta(u) - exact) < 0.03, s"u=$u blockers=$blockers")
+      }
+      assert(seeds.forall(delta(_) == 0.0) && blockers.forall(delta(_) == 0.0))
     }
   }
 
