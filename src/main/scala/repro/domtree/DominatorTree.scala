@@ -299,9 +299,6 @@ object DominatorTree {
     new Result(count, vertexOf, dfnOf, idomDfn)
   }
 
-  /** Dominator tree of the whole graph (every edge live). */
-  def computeAll(g: ProbGraph, root: Int): Result = compute(g, root, _ => true)
-
   /** O(n·m) brute-force immediate dominators, for verification: `u`
     * dominates `v` iff `v` is unreachable from `root` once `u` is removed;
     * the immediate dominator is the deepest proper dominator.

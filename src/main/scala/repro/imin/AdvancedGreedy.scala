@@ -3,7 +3,7 @@ package repro.imin
 import org.apache.spark.sql.SparkSession
 import repro.Execution
 import repro.graph.ProbGraph
-import repro.sampling.TriggeringModel
+import repro.sampling.{DeltaEstimator, TriggeringModel}
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -70,7 +70,7 @@ object AdvancedGreedy {
     var exhausted = false
     while (i < b && !exhausted) {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val delta = Blocking.roundDeltas(cluster, g, roots, blocked, theta, roundSeed, model)
+      val delta = DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed, model)
       val x = Blocking.argmaxDelta(delta, v => !blocked(v) && !isSeed(v))
       if (x < 0 || delta(x) <= 0.0) exhausted = true // nothing left to gain
       else { blocked(x) = true; order += x }

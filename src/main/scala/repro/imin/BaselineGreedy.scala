@@ -74,22 +74,16 @@ object BaselineGreedy {
       candidates: Seq[Int],
       r: Int,
       roundSeed: Long): Map[Int, Long] =
-    cluster match {
-      case Some(spark) =>
-        import spark.implicits._
-        val bc = spark.sparkContext.broadcast((g, blocked, root))
-        try {
-          spark
-            .createDataset(candidates)
-            .mapPartitions { us =>
-              val (graph, blk, rt) = bc.value
-              us.map(u => (u, spreadSum(graph, rt, blk, u, r, roundSeed)))
-            }
-            .collect()
-            .toMap
-        } finally bc.destroy()
-      case None => candidates.map(u => u -> spreadSum(g, root, blocked, u, r, roundSeed)).toMap
-    }
+    Execution.run(cluster, (g, root, blocked, candidates.toArray), candidates.size) {
+      case ((g, root, blocked, candidates), from, until) =>
+        val sums = Map.newBuilder[Int, Long]
+        var i = from.toInt
+        while (i < until) {
+          sums += candidates(i) -> spreadSum(g, root, blocked, candidates(i), r, roundSeed)
+          i += 1
+        }
+        sums.result()
+    }(_ ++ _)
 
   /** Total reach count over `r` sampled worlds with `extraBlock` also
     * blocked (-1 for none).
@@ -106,6 +100,6 @@ object BaselineGreedy {
       else {
         val m2 = blocked.clone(); m2(extraBlock) = true; m2
       }
-    MonteCarloSpread.reachSum(g, Array(root), r, roundSeed, mask)
+    MonteCarloSpread.reachSum(g, Array(root), mask, roundSeed, 0L, r)
   }
 }

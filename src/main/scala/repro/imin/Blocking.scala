@@ -1,8 +1,7 @@
 package repro.imin
 
-import org.apache.spark.sql.SparkSession
 import repro.graph.{ProbGraph, SeedReduction}
-import repro.sampling.{DeltaEstimator, GraphSampler, TriggeringModel}
+import repro.sampling.GraphSampler
 
 /** Shared plumbing for the blocker-selection algorithms. */
 object Blocking {
@@ -52,21 +51,4 @@ object Blocking {
     val notSeed = (v: Int) => v != red.superSeed && !seeds.contains(v)
     (red, notSeed)
   }
-
-  /** One AG/GR round: Δ of every vertex of `g` with the seeds `roots` and
-    * the `blocked` vertices masked out (Algorithm 2), on the driver
-    * (`cluster = None`) or as one Spark job.
-    */
-  private[imin] def roundDeltas(
-      cluster: Option[SparkSession],
-      g: ProbGraph,
-      roots: Array[Int],
-      blocked: Array[Boolean],
-      theta: Int,
-      roundSeed: Long,
-      model: TriggeringModel): Array[Double] =
-    cluster match {
-      case Some(spark) => DeltaEstimator.estimate(spark, g, roots, blocked, theta, roundSeed, model)
-      case None => DeltaEstimator.estimateLocal(g, roots, blocked, theta, roundSeed, model)
-    }
 }

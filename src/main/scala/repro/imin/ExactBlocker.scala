@@ -15,7 +15,7 @@ import repro.spread.MonteCarloSpread
   * its small extracts. The `C(candidates, b)` combinations are unranked
   * combinatorially, so one combination index names one blocker set.
   */
-object ExactBlocker extends Serializable {
+object ExactBlocker {
 
   /** Binomial coefficient `C(n, r)`, exact.
     *
@@ -89,8 +89,8 @@ object ExactBlocker extends Serializable {
   }
 
   /** Every `b`-subset of `candidates` evaluated on the pool of `thetaEval`
-    * worlds, on the driver (`cluster = None`) or as one Spark job over a
-    * `spark.range` of combination indices.
+    * worlds, on the driver (`cluster = None`) or as one Spark job, one task
+    * per slice of combination indices.
     *
     * @return (smallest total reach count, its combination index); ties go to
     *         the smallest index
@@ -102,35 +102,17 @@ object ExactBlocker extends Serializable {
       candidates: Array[Int],
       b: Int,
       thetaEval: Int,
-      masterSeed: Long): (Long, Long) = {
-    val nCombos = choose(candidates.length, b)
-
-    def evalCombo(idx: Long, graph: ProbGraph, rs: Array[Int]): (Long, Long) = {
-      val mask = Blocking.maskOf(graph.n, unrank(idx, b).map(candidates(_)))
-      (MonteCarloSpread.reachSum(graph, rs, thetaEval, masterSeed, mask), idx)
-    }
-
-    cluster match {
-      case Some(spark) =>
-        import spark.implicits._
-        val bc = spark.sparkContext.broadcast((g, roots))
-        try {
-          spark
-            .range(nCombos)
-            .as[Long]
-            .mapPartitions { idxs =>
-              val (graph, rs) = bc.value
-              var best: (Long, Long) = null
-              idxs.foreach { idx =>
-                val r = evalCombo(idx, graph, rs)
-                if (best == null || r._1 < best._1 || (r._1 == best._1 && r._2 < best._2)) best = r
-              }
-              if (best == null) Iterator.empty else Iterator.single(best)
-            }
-            .collect()
-            .minBy(identity)
-        } finally bc.destroy()
-      case None => (0L until nCombos).map(evalCombo(_, g, roots)).minBy(identity)
-    }
-  }
+      masterSeed: Long): (Long, Long) =
+    Execution.run(cluster, (g, roots, candidates), choose(candidates.length, b)) {
+      case ((g, roots, candidates), from, until) =>
+        var best = (Long.MaxValue, -1L)
+        var idx = from
+        while (idx < until) {
+          val mask = Blocking.maskOf(g.n, unrank(idx, b).map(candidates(_)))
+          val sum = MonteCarloSpread.reachSum(g, roots, mask, masterSeed, 0L, thetaEval)
+          if (sum < best._1) best = (sum, idx) // ids ascend: a tie keeps the smaller index
+          idx += 1
+        }
+        best
+    }(Ordering[(Long, Long)].min)
 }

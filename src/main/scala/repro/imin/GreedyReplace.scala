@@ -3,7 +3,7 @@ package repro.imin
 import org.apache.spark.sql.SparkSession
 import repro.Execution
 import repro.graph.ProbGraph
-import repro.sampling.TriggeringModel
+import repro.sampling.{DeltaEstimator, TriggeringModel}
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -76,7 +76,7 @@ object GreedyReplace {
     val isSeed = Blocking.maskOf(g.n, roots)
 
     def deltasOf(blocked: Array[Boolean], roundSeed: Long): Array[Double] =
-      Blocking.roundDeltas(cluster, g, roots, blocked, theta, roundSeed, model)
+      DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed, model)
 
     val cb = seedOutNeighbors(g, seeds)
     val blocked = new Array[Boolean](g.n)

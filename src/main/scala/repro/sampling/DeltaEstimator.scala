@@ -1,6 +1,7 @@
 package repro.sampling
 
 import org.apache.spark.sql.SparkSession
+import repro.Execution
 import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.util.Rng
@@ -18,12 +19,11 @@ import repro.util.Rng
   * blocked vertices a mask, so a round runs on the original graph: its
   * samples cost what they reach. A root's Δ is 0: it is not a candidate.
   *
-  * The distributed path fans the θ samples out over a `spark.range(θ)`
-  * Dataset; each task runs the sample→dominator-tree→subtree-size kernel on
-  * the broadcast graph with one [[DominatorTree.Workspace]] and
-  * pre-aggregates into a partition-local Δ array, so one job is one narrow
-  * stage plus a driver-side merge. Which path a run takes is decided by
-  * [[repro.Execution]].
+  * The θ samples are one [[repro.Execution.run]] job: each slice of worlds
+  * runs the sample→dominator-tree→subtree-size kernel with one
+  * [[DominatorTree.Workspace]] into one Δ-sum array, and the slices' arrays
+  * are added. Whether the job runs on the driver or over Spark is decided
+  * by [[repro.Execution]].
   */
 object DeltaEstimator {
 
@@ -54,11 +54,13 @@ object DeltaEstimator {
     acc
   }
 
-  /** Driver-side estimate with the seeds `roots` and `blocked` vertices
-    * removed (null: none): the reference implementation, and the path taken
-    * when a Spark job would cost more than the samples it runs.
+  /** Δ of every vertex over the θ worlds keyed by `masterSeed`, with the
+    * seeds `roots` and `blocked` vertices (null: none) masked out, on the
+    * driver (`cluster = None`) or as one Spark job, one workspace and one
+    * Δ-sum array per slice of worlds.
     */
-  def estimateLocal(
+  def estimate(
+      cluster: Option[SparkSession],
       g: ProbGraph,
       roots: Array[Int],
       blocked: Array[Boolean],
@@ -66,14 +68,21 @@ object DeltaEstimator {
       masterSeed: Long,
       model: TriggeringModel): Array[Double] = {
     require(theta >= 1, "theta must be positive")
-    val acc = new Array[Double](g.n)
-    val ws = new DominatorTree.Workspace(g.n)
-    var i = 0L
-    while (i < theta) {
-      accumulateSample(g, roots, blocked, Rng.sampleSeed(masterSeed, i), acc, ws, model)
-      i += 1
+    val sums = Execution.run(cluster, (g, roots, blocked), theta) { case ((g, roots, blocked), from, until) =>
+      val acc = new Array[Double](g.n)
+      val ws = new DominatorTree.Workspace(g.n)
+      var i = from
+      while (i < until) {
+        accumulateSample(g, roots, blocked, Rng.sampleSeed(masterSeed, i), acc, ws, model)
+        i += 1
+      }
+      acc
+    } { (a, b) =>
+      var v = 0
+      while (v < a.length) { a(v) += b(v); v += 1 }
+      a
     }
-    finish(acc, roots, theta)
+    finish(sums, roots, theta)
   }
 
   /** Driver-side estimate from a single root. */
@@ -83,49 +92,9 @@ object DeltaEstimator {
       theta: Int,
       masterSeed: Long,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Array[Double] =
-    estimateLocal(g, Array(root), null, theta, masterSeed, model)
+    estimate(None, g, Array(root), null, theta, masterSeed, model)
 
-  /** Distributed estimate: θ samples fanned out over the cluster, one
-    * workspace and one partition-local Δ array per task, merged on the
-    * driver. Returns Δ[u] for every vertex id.
-    */
-  def estimate(
-      spark: SparkSession,
-      g: ProbGraph,
-      roots: Array[Int],
-      blocked: Array[Boolean],
-      theta: Int,
-      masterSeed: Long,
-      model: TriggeringModel): Array[Double] = {
-    require(theta >= 1, "theta must be positive")
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast((g, roots, Option(blocked)))
-    try {
-      val partials = spark
-        .range(theta)
-        .as[Long]
-        .mapPartitions { ids =>
-          val (graph, rs, blk) = bc.value
-          val acc = new Array[Double](graph.n)
-          val ws = new DominatorTree.Workspace(graph.n)
-          var any = false
-          ids.foreach { id =>
-            any = true
-            accumulateSample(graph, rs, blk.orNull, Rng.sampleSeed(masterSeed, id), acc, ws, model)
-          }
-          if (any) Iterator.single(acc) else Iterator.empty
-        }
-        .collect()
-      val acc = new Array[Double](g.n)
-      for (p <- partials) {
-        var v = 0
-        while (v < g.n) { acc(v) += p(v); v += 1 }
-      }
-      finish(acc, roots, theta)
-    } finally bc.destroy()
-  }
-
-  /** Distributed estimate from a single root. */
+  /** Estimate from a single root, fanned out over Spark. */
   def estimate(
       spark: SparkSession,
       g: ProbGraph,
@@ -133,5 +102,5 @@ object DeltaEstimator {
       theta: Int,
       masterSeed: Long,
       model: TriggeringModel = TriggeringModel.IndependentCascade): Array[Double] =
-    estimate(spark, g, Array(root), null, theta, masterSeed, model)
+    estimate(Some(spark), g, Array(root), null, theta, masterSeed, model)
 }

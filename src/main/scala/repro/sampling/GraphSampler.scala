@@ -67,15 +67,4 @@ object GraphSampler {
       sampleSeed: Long,
       blocked: Array[Boolean] = null): Int =
     reach(g, roots, blocked, new Array[Boolean](g.n))(liveEdge(g, sampleSeed))
-
-  /** Reachable vertex set (test-friendly variant of [[reachCount]]). */
-  def reachSet(
-      g: ProbGraph,
-      roots: Array[Int],
-      sampleSeed: Long,
-      blocked: Array[Boolean] = null): Set[Int] = {
-    val vis = new Array[Boolean](g.n)
-    reach(g, roots, blocked, vis)(liveEdge(g, sampleSeed))
-    (0 until g.n).filter(vis).toSet
-  }
 }

@@ -15,14 +15,21 @@ import repro.util.Rng
   */
 object MonteCarloSpread {
 
-  /** Total reach count of `roots` over the `r` sampled worlds keyed by
-    * `masterSeed`, with `blocked` vertices removed (null: none).
+  /** Total reach count of `roots` over the sampled worlds `from until until`
+    * keyed by `masterSeed`, with `blocked` vertices removed (null: none), on
+    * one `vis` array.
     */
-  def reachSum(g: ProbGraph, roots: Array[Int], r: Int, masterSeed: Long, blocked: Array[Boolean]): Long = {
+  def reachSum(
+      g: ProbGraph,
+      roots: Array[Int],
+      blocked: Array[Boolean],
+      masterSeed: Long,
+      from: Long,
+      until: Long): Long = {
     val vis = new Array[Boolean](g.n)
     var sum = 0L
-    var i = 0L
-    while (i < r) {
+    var i = from
+    while (i < until) {
       sum += reachWorld(g, roots, Rng.sampleSeed(masterSeed, i), blocked, vis)
       i += 1
     }
@@ -42,47 +49,42 @@ object MonteCarloSpread {
     GraphSampler.reach(g, roots, blocked, vis)(GraphSampler.liveEdge(g, sampleSeed))
   }
 
+  /** Estimate over `r` simulations with `blocked` vertices removed (null:
+    * none), on the driver (`cluster = None`) or as one Spark job that sums
+    * the reach counts of each slice of worlds.
+    */
+  def spread(
+      cluster: Option[SparkSession],
+      g: ProbGraph,
+      roots: Array[Int],
+      r: Int,
+      masterSeed: Long,
+      blocked: Array[Boolean]): Double = {
+    require(r >= 1, "r must be positive")
+    val total = Execution.run(cluster, (g, roots, blocked), r) { case ((g, roots, blocked), from, until) =>
+      reachSum(g, roots, blocked, masterSeed, from, until)
+    }(_ + _)
+    total.toDouble / r
+  }
+
   /** Driver-side estimate over `r` simulations. */
   def spreadLocal(
       g: ProbGraph,
       roots: Array[Int],
       r: Int,
       masterSeed: Long,
-      blocked: Array[Boolean] = null): Double = {
-    require(r >= 1, "r must be positive")
-    reachSum(g, roots, r, masterSeed, blocked).toDouble / r
-  }
+      blocked: Array[Boolean] = null): Double =
+    spread(None, g, roots, r, masterSeed, blocked)
 
-  /** Distributed estimate: `r` simulations fanned out over `spark.range(r)`,
-    * partition-local sums of reach counts (one `vis` per partition), merged
-    * on the driver.
-    */
+  /** Estimate over `r` simulations fanned out over Spark. */
   def spread(
       spark: SparkSession,
       g: ProbGraph,
       roots: Array[Int],
       r: Int,
       masterSeed: Long,
-      blocked: Array[Boolean] = null): Double = {
-    require(r >= 1, "r must be positive")
-    import spark.implicits._
-    val bc = spark.sparkContext.broadcast((g, roots, Option(blocked)))
-    try {
-      val total = spark
-        .range(r)
-        .as[Long]
-        .mapPartitions { ids =>
-          val (graph, rs, blk) = bc.value
-          val vis = new Array[Boolean](graph.n)
-          var sum = 0L
-          ids.foreach(id => sum += reachWorld(graph, rs, Rng.sampleSeed(masterSeed, id), blk.orNull, vis))
-          Iterator.single(sum)
-        }
-        .collect()
-        .sum
-      total.toDouble / r
-    } finally bc.destroy()
-  }
+      blocked: Array[Boolean] = null): Double =
+    spread(Some(spark), g, roots, r, masterSeed, blocked)
 
   /** Spread after blocking `blockers`, on the driver or over Spark as
     * [[repro.Execution]] decides for `r` simulations of `g`.
@@ -96,9 +98,6 @@ object MonteCarloSpread {
       masterSeed: Long): Double = {
     val mask = new Array[Boolean](g.n)
     blockers.foreach(mask(_) = true)
-    Execution.cluster(spark, g, r) match {
-      case Some(s) => spread(s, g, roots, r, masterSeed, mask)
-      case None => spreadLocal(g, roots, r, masterSeed, mask)
-    }
+    spread(Execution.cluster(spark, g, r), g, roots, r, masterSeed, mask)
   }
 }

@@ -3,7 +3,9 @@ package repro
 import repro.exp.Datasets
 import repro.graph.{ProbGraph, PropModels, SocialGraphGen}
 
-/** AG/GR price a round on the graph they run on, the input graph itself. */
+/** AG/GR price a round on the graph they run on, the input graph itself;
+  * a job's work items are cut into contiguous slices.
+  */
 class ExecutionSpec extends SparkSpec {
 
   test("an AG round on the Wiki-Vote substitute (theta = 100) runs on the driver") {
@@ -23,5 +25,15 @@ class ExecutionSpec extends SparkSpec {
     assert(Execution.cluster(spark, g, atThreshold).contains(spark))
     assert(Execution.cluster(spark, g, atThreshold - 1).isEmpty)
     assert(Execution.cluster(spark, g, 1).isEmpty)
+  }
+
+  test("slices cover the work items exactly once, in order, without overflow") {
+    for (slices <- Seq(1, 3, 8); count <- Seq(1L, 2L, slices - 1L, 1000007L, Long.MaxValue) if count >= 1) {
+      val bounds = (0 until slices).map(Execution.slice(count, slices, _))
+      assert(bounds.head._1 == 0L && bounds.last._2 == count, s"count=$count slices=$slices")
+      assert(bounds.zip(bounds.tail).forall { case (a, b) => a._2 == b._1 }, s"count=$count slices=$slices")
+      val sizes = bounds.map { case (from, until) => until - from }
+      assert(sizes.forall(k => k == count / slices || k == count / slices + 1), s"count=$count slices=$slices")
+    }
   }
 }

@@ -187,14 +187,6 @@ class DominatorTreeSpec extends AnyFunSuite {
     }
   }
 
-  test("computeAll is compute with the constant-true predicate") {
-    val g = ToyGraph.graph
-    val a = DominatorTree.computeAll(g, ToyGraph.seed)
-    val b = DominatorTree.compute(g, ToyGraph.seed, _ => true)
-    assert(a.count == b.count)
-    assert((0 until g.n).forall(v => a.idomOf(v) == b.idomOf(v)))
-  }
-
   /** Subtree size per reached vertex after one kernel call. */
   private def kernelSizes(
       g: ProbGraph,

@@ -54,9 +54,12 @@ class BaselineGreedySpec extends SparkSpec {
     for (i <- 0 to order.size) {
       val blocked = Blocking.maskOf(red.graph.n, order.take(i))
       val candidates = (0 until red.graph.n).filter(v => notSeed(v) && !blocked(v))
-      def sweep(cluster: Option[SparkSession]) =
-        BaselineGreedy.sweep(cluster, red.graph, red.superSeed, blocked, candidates, 1000, 6L + i)
-      assert(sweep(None) == sweep(Some(spark)), s"round ${i + 1}")
+      // One candidate leaves all but one of the job's slices empty.
+      for (cs <- Seq(candidates, candidates.take(1))) {
+        def sweep(cluster: Option[SparkSession]) =
+          BaselineGreedy.sweep(cluster, red.graph, red.superSeed, blocked, cs, 1000, 6L + i)
+        assert(sweep(None) == sweep(Some(spark)), s"round ${i + 1}, ${cs.size} candidates")
+      }
     }
   }
 

@@ -41,11 +41,10 @@ class DeltaEstimatorSpec extends SparkSpec {
       val acc = new Array[Double](n)
       DeltaEstimator.accumulateSample(h, Array(0), null, sampleSeed, acc, new DominatorTree.Workspace(n),
         TriggeringModel.IndependentCascade)
-      val full = GraphSampler.reachSet(h, Array(0), sampleSeed)
+      val full = GraphSampler.reachCount(h, Array(0), sampleSeed)
       for (u <- 1 until n) {
         val blocked = new Array[Boolean](n); blocked(u) = true
-        val without = GraphSampler.reachSet(h, Array(0), sampleSeed, blocked)
-        val sigma = full.size - without.size
+        val sigma = full - GraphSampler.reachCount(h, Array(0), sampleSeed, blocked)
         assert(acc(u) == sigma.toDouble, s"trial=$trial u=$u")
       }
     }
@@ -69,10 +68,12 @@ class DeltaEstimatorSpec extends SparkSpec {
   }
 
   test("distributed estimate equals the local estimate exactly (same worlds)") {
-    val local = DeltaEstimator.estimateLocal(g, ToyGraph.seed, 2000, 7L)
-    val dist = DeltaEstimator.estimate(spark, g, ToyGraph.seed, 2000, 7L)
-    for (u <- 0 until g.n)
-      assert(math.abs(local(u) - dist(u)) < 1e-9, s"u=$u local=${local(u)} dist=${dist(u)}")
+    // theta = 1 leaves all but one of the job's slices empty.
+    for (theta <- Seq(1, 2000)) {
+      val local = DeltaEstimator.estimateLocal(g, ToyGraph.seed, theta, 7L)
+      val dist = DeltaEstimator.estimate(spark, g, ToyGraph.seed, theta, 7L)
+      assert(local.toSeq == dist.toSeq, s"theta=$theta")
+    }
   }
 
   test("multi-seed estimate matches exact spread decreases") {
@@ -84,7 +85,7 @@ class DeltaEstimatorSpec extends SparkSpec {
     for (blockers <- Seq(Seq.empty[Int], Seq(3))) {
       val mask = new Array[Boolean](h.n)
       blockers.foreach(mask(_) = true)
-      val delta = DeltaEstimator.estimateLocal(h, seeds, mask, 60000, 11L, TriggeringModel.IndependentCascade)
+      val delta = DeltaEstimator.estimate(None, h, seeds, mask, 60000, 11L, TriggeringModel.IndependentCascade)
       val base = ExactSpread.spreadWithBlockers(h, seeds, blockers)
       for (u <- 2 until 6 if !blockers.contains(u)) {
         val exact = base - ExactSpread.spreadWithBlockers(h, seeds, u +: blockers)

@@ -8,6 +8,13 @@ class GraphSamplerSpec extends AnyFunSuite {
 
   private val g = ToyGraph.graph
 
+  /** The vertices `reach` marks from `roots` in the world `sampleSeed`. */
+  private def reachSet(h: ProbGraph, roots: Array[Int], sampleSeed: Long, blocked: Array[Boolean] = null): Set[Int] = {
+    val vis = new Array[Boolean](h.n)
+    GraphSampler.reach(h, roots, blocked, vis)(GraphSampler.liveEdge(h, sampleSeed))
+    (0 until h.n).filter(vis).toSet
+  }
+
   test("reach grows its stack past the initial size on a wide star") {
     // a star wider than the kernel's initial stack, so the stack has to grow
     val star = ProbGraph.fromEdges(41, (1 to 40).map(leaf => (0, leaf, 1.0)))
@@ -44,13 +51,13 @@ class GraphSamplerSpec extends AnyFunSuite {
       val seed = Rng.sampleSeed(4L, id)
       assert(
         GraphSampler.reachCount(g, Array(ToyGraph.seed), seed) ==
-          GraphSampler.reachSet(g, Array(ToyGraph.seed), seed).size)
+          reachSet(g, Array(ToyGraph.seed), seed).size)
     }
   }
 
   test("reach always contains the root") {
     for (id <- 0L until 20L) {
-      val s = GraphSampler.reachSet(g, Array(ToyGraph.seed), Rng.sampleSeed(5L, id))
+      val s = reachSet(g, Array(ToyGraph.seed), Rng.sampleSeed(5L, id))
       assert(s.contains(ToyGraph.seed))
     }
   }
@@ -58,7 +65,7 @@ class GraphSamplerSpec extends AnyFunSuite {
   test("toy graph: certain part is always reached") {
     def v(k: Int) = ToyGraph.v(k)
     for (id <- 0L until 30L) {
-      val s = GraphSampler.reachSet(g, Array(ToyGraph.seed), Rng.sampleSeed(6L, id))
+      val s = reachSet(g, Array(ToyGraph.seed), Rng.sampleSeed(6L, id))
       assert(Set(v(1), v(2), v(3), v(4), v(5), v(6), v(9)).subsetOf(s))
     }
   }
@@ -75,7 +82,7 @@ class GraphSamplerSpec extends AnyFunSuite {
     val blocked = new Array[Boolean](g.n)
     blocked(v(5)) = true
     for (id <- 0L until 30L) {
-      val s = GraphSampler.reachSet(g, Array(ToyGraph.seed), Rng.sampleSeed(8L, id), blocked)
+      val s = reachSet(g, Array(ToyGraph.seed), Rng.sampleSeed(8L, id), blocked)
       assert(!s.contains(v(5)))
       // v5 dominates everything downstream of it
       assert(s == Set(v(1), v(2), v(4)))
@@ -90,7 +97,7 @@ class GraphSamplerSpec extends AnyFunSuite {
 
   test("multi-root reach unions the individual reaches") {
     val h = ProbGraph.fromEdges(5, Seq((0, 2, 1.0), (1, 3, 1.0), (3, 4, 1.0)))
-    val s = GraphSampler.reachSet(h, Array(0, 1), 1L)
+    val s = reachSet(h, Array(0, 1), 1L)
     assert(s == Set(0, 1, 2, 3, 4))
   }
 
@@ -103,10 +110,10 @@ class GraphSamplerSpec extends AnyFunSuite {
     def v(k: Int) = ToyGraph.v(k)
     for (id <- 0L until 50L) {
       val seed = Rng.sampleSeed(9L, id)
-      val free = GraphSampler.reachSet(g, Array(ToyGraph.seed), seed)
+      val free = reachSet(g, Array(ToyGraph.seed), seed)
       val blocked = new Array[Boolean](g.n)
       blocked(v(9)) = true
-      val withBlock = GraphSampler.reachSet(g, Array(ToyGraph.seed), seed, blocked)
+      val withBlock = reachSet(g, Array(ToyGraph.seed), seed, blocked)
       // the blocked world is the free world minus vertices only reachable via v9
       assert(withBlock.subsetOf(free - v(9)))
     }

@@ -33,9 +33,12 @@ class MonteCarloSpreadSpec extends SparkSpec {
   }
 
   test("distributed spread equals local spread exactly (same worlds)") {
-    val local = MonteCarloSpread.spreadLocal(g, roots, 3000, 7L)
-    val dist = MonteCarloSpread.spread(spark, g, roots, 3000, 7L)
-    assert(math.abs(local - dist) < 1e-12, s"local=$local dist=$dist")
+    // r = 1 leaves all but one of the job's slices empty.
+    for (r <- Seq(1, 3000)) {
+      val local = MonteCarloSpread.spreadLocal(g, roots, r, 7L)
+      val dist = MonteCarloSpread.spread(spark, g, roots, r, 7L)
+      assert(local == dist, s"r=$r local=$local dist=$dist")
+    }
   }
 
   test("distributed spread with blockers equals local") {
