@@ -5,8 +5,12 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 /** Immutable directed graph with a propagation probability on every edge,
   * stored in CSR (compressed sparse row) form over vertex ids `0 until n`.
   *
-  * This is the local substrate every algorithm kernel runs on: the graph is
-  * broadcast to executors and each task walks the CSR arrays directly.
+  * This is the local substrate every algorithm kernel runs on:
+  * `repro.Execution` broadcasts a graph to the executors once per Spark
+  * context, and each task walks the CSR arrays directly. Every later job on
+  * the same object reuses that broadcast, which is sound only because a
+  * graph never changes: no method writes its arrays, and [[mapProbs]]
+  * returns a new graph.
   * [[toDF]] gives the edge table `DataFrame(src, dst, p)` for Table IV's
   * degree statistics and SQL checks.
   *

@@ -74,8 +74,8 @@ object BaselineGreedy {
       candidates: Seq[Int],
       r: Int,
       roundSeed: Long): Map[Int, Long] =
-    Execution.run(cluster, (g, root, blocked, candidates.toArray), candidates.size) {
-      case ((g, root, blocked, candidates), from, until) =>
+    Execution.run(cluster, g, (root, blocked, candidates.toArray), candidates.size) {
+      case (g, (root, blocked, candidates), from, until) =>
         val sums = Map.newBuilder[Int, Long]
         var i = from.toInt
         while (i < until) {

@@ -103,8 +103,8 @@ object ExactBlocker {
       b: Int,
       thetaEval: Int,
       masterSeed: Long): (Long, Long) =
-    Execution.run(cluster, (g, roots, candidates), choose(candidates.length, b)) {
-      case ((g, roots, candidates), from, until) =>
+    Execution.run(cluster, g, (roots, candidates), choose(candidates.length, b)) {
+      case (g, (roots, candidates), from, until) =>
         var best = (Long.MaxValue, -1L)
         var idx = from
         while (idx < until) {

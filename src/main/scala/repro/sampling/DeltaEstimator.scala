@@ -21,9 +21,12 @@ import repro.util.Rng
   *
   * The θ samples are one [[repro.Execution.run]] job: each slice of worlds
   * runs the sample→dominator-tree→subtree-size kernel with one
-  * [[DominatorTree.Workspace]] into one Δ-sum array, and the slices' arrays
-  * are added. Whether the job runs on the driver or over Spark is decided
-  * by [[repro.Execution]].
+  * [[DominatorTree.Workspace]] into one Δ-sum array and returns only its
+  * touched vertices and their sums, which the driver adds into one array
+  * (a world reaches a small part of a large graph, so these partials are
+  * far smaller than n). The sums are integer-valued, so the order of the
+  * additions does not change them. Whether the job runs on the driver or
+  * over Spark is decided by [[repro.Execution]].
   */
 object DeltaEstimator {
 
@@ -46,6 +49,22 @@ object DeltaEstimator {
     }
   }
 
+  /** The vertices with a nonzero sum in `acc`, ascending, and their sums. */
+  private def touched(acc: Array[Double]): (Array[Int], Array[Double]) = {
+    var k = 0
+    var v = 0
+    while (v < acc.length) { if (acc(v) != 0.0) k += 1; v += 1 }
+    val vs = new Array[Int](k)
+    val xs = new Array[Double](k)
+    k = 0
+    v = 0
+    while (v < acc.length) {
+      if (acc(v) != 0.0) { vs(k) = v; xs(k) = acc(v); k += 1 }
+      v += 1
+    }
+    (vs, xs)
+  }
+
   /** Δ from the θ-sample sums in `acc`, in place. */
   private def finish(acc: Array[Double], roots: Array[Int], theta: Int): Array[Double] = {
     var v = 0
@@ -57,7 +76,7 @@ object DeltaEstimator {
   /** Δ of every vertex over the θ worlds keyed by `masterSeed`, with the
     * seeds `roots` and `blocked` vertices (null: none) masked out, on the
     * driver (`cluster = None`) or as one Spark job, one workspace and one
-    * Δ-sum array per slice of worlds.
+    * Δ-sum array per slice of worlds; each slice returns its nonzero sums.
     */
   def estimate(
       cluster: Option[SparkSession],
@@ -68,7 +87,7 @@ object DeltaEstimator {
       masterSeed: Long,
       model: TriggeringModel): Array[Double] = {
     require(theta >= 1, "theta must be positive")
-    val sums = Execution.run(cluster, (g, roots, blocked), theta) { case ((g, roots, blocked), from, until) =>
+    val parts = Execution.run(cluster, g, (roots, blocked), theta) { case (g, (roots, blocked), from, until) =>
       val acc = new Array[Double](g.n)
       val ws = new DominatorTree.Workspace(g.n)
       var i = from
@@ -76,11 +95,12 @@ object DeltaEstimator {
         accumulateSample(g, roots, blocked, Rng.sampleSeed(masterSeed, i), acc, ws, model)
         i += 1
       }
-      acc
-    } { (a, b) =>
-      var v = 0
-      while (v < a.length) { a(v) += b(v); v += 1 }
-      a
+      List(touched(acc))
+    }(_ ::: _)
+    val sums = new Array[Double](g.n)
+    for ((vs, xs) <- parts) {
+      var k = 0
+      while (k < vs.length) { sums(vs(k)) += xs(k); k += 1 }
     }
     finish(sums, roots, theta)
   }

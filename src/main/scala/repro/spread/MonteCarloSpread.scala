@@ -61,7 +61,7 @@ object MonteCarloSpread {
       masterSeed: Long,
       blocked: Array[Boolean]): Double = {
     require(r >= 1, "r must be positive")
-    val total = Execution.run(cluster, (g, roots, blocked), r) { case ((g, roots, blocked), from, until) =>
+    val total = Execution.run(cluster, g, (roots, blocked), r) { case (g, (roots, blocked), from, until) =>
       reachSum(g, roots, blocked, masterSeed, from, until)
     }(_ + _)
     total.toDouble / r

@@ -1,12 +1,43 @@
 package repro
 
+import org.apache.spark.ListenerBusDrain
+import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated}
+import org.apache.spark.sql.SparkSession
+import org.apache.spark.storage.BroadcastBlockId
 import repro.exp.Datasets
 import repro.graph.{ProbGraph, PropModels, SocialGraphGen}
+import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.spread.MonteCarloSpread
+import scala.collection.mutable
 
 /** AG/GR price a round on the graph they run on, the input graph itself;
-  * a job's work items are cut into contiguous slices.
+  * a job's work items are cut into contiguous slices; over Spark a graph is
+  * broadcast once per context and graph object.
   */
 class ExecutionSpec extends SparkSpec {
+
+  /** Bytes of the broadcast pieces the driver stores, per broadcast id, as
+    * perfbench's `spark.broadcast_mb` counts them.
+    */
+  private class BroadcastPieces extends SparkListener {
+    val bytes = mutable.Map.empty[Long, Long]
+    override def onBlockUpdated(e: SparkListenerBlockUpdated): Unit = synchronized {
+      val info = e.blockUpdatedInfo
+      info.blockId match {
+        case BroadcastBlockId(id, field) if field.startsWith("piece") =>
+          bytes(id) = bytes.getOrElse(id, 0L) + info.memSize + info.diskSize
+        case _ =>
+      }
+    }
+  }
+
+  /** Δ and MCS of `g` from the roots `0, 1` with vertex 2 blocked. */
+  private def kernels(cluster: Option[SparkSession], g: ProbGraph, seed: Long): (Seq[Double], Double) = {
+    val blocked = new Array[Boolean](g.n)
+    blocked(2) = true
+    val delta = DeltaEstimator.estimate(cluster, g, Array(0, 1), blocked, 7, seed, TriggeringModel.IndependentCascade)
+    (delta.toSeq, MonteCarloSpread.spread(cluster, g, Array(0, 1), 7, seed, blocked))
+  }
 
   test("an AG round on the Wiki-Vote substitute (theta = 100) runs on the driver") {
     val spec = Datasets.byName("Wiki-Vote")
@@ -35,5 +66,53 @@ class ExecutionSpec extends SparkSpec {
       val sizes = bounds.map { case (from, until) => until - from }
       assert(sizes.forall(k => k == count / slices || k == count / slices + 1), s"count=$count slices=$slices")
     }
+  }
+
+  test("five Spark jobs on one graph, between jobs on other graphs, store its broadcast once") {
+    // A new object, so no job has broadcast it yet. Its probabilities are
+    // random doubles: 8 incompressible bytes each.
+    val rnd = new scala.util.Random(31L)
+    val g = SocialGraphGen.powerLaw(20000, 60000, directed = true, 31L).mapProbs((_, _, _) => 0.05 * rnd.nextDouble())
+    // Four small graphs in turn: with g, one more than the cache keeps, so
+    // g stays cached only if the least recently used entry is evicted.
+    val others = (0 until 4).map(k => PropModels.trivalency(SocialGraphGen.powerLaw(300, 1200, directed = true, k), k))
+    val pieces = new BroadcastPieces
+    val sc = spark.sparkContext
+    sc.addSparkListener(pieces)
+    try {
+      for (j <- 0 until 5) {
+        val blocked = new Array[Boolean](g.n)
+        blocked(j + 2) = true
+        if (j % 2 == 0)
+          DeltaEstimator.estimate(Some(spark), g, Array(0, 1), blocked, 3, j, TriggeringModel.IndependentCascade)
+        else MonteCarloSpread.spread(Some(spark), g, Array(0, 1), 3, j, blocked)
+        if (j < 4) kernels(Some(spark), others(j), j)
+      }
+      ListenerBusDrain(sc)
+    } finally sc.removeSparkListener(pieces)
+    // The graph's probabilities alone are 8 m incompressible bytes; a job's
+    // task binary (closure, roots and an n-sized mask) and a small graph are
+    // far below 4 m.
+    val large = pieces.bytes.values.count(_ >= 4L * g.m)
+    assert(pieces.bytes.size >= 5, s"the listener saw ${pieces.bytes.size} broadcasts")
+    assert(large == 1, s"broadcast bytes by id: ${pieces.bytes.toSeq.sorted}")
+  }
+
+  test("round-robin over more graphs than the cache keeps: Spark equals the driver exactly") {
+    // Ten graphs against a cache of four: every round re-broadcasts evicted ones.
+    val graphs = (0 until 10).map(k => PropModels.trivalency(SocialGraphGen.powerLaw(300, 1200, directed = true, k), k))
+    for (round <- 0 until 3; (g, k) <- graphs.zipWithIndex)
+      assert(kernels(Some(spark), g, round) == kernels(None, g, round), s"round $round graph $k")
+  }
+
+  test("a mapProbs copy shares the CSR arrays but is broadcast with its own probabilities") {
+    val g = PropModels.trivalency(SocialGraphGen.powerLaw(500, 2000, directed = true, 52L), 52L)
+    val h = g.mapProbs((_, _, _) => 0.5)
+    assert((h.offsets eq g.offsets) && (h.targets eq g.targets) && !(h eq g))
+    val onG = kernels(Some(spark), g, 9L)
+    val onH = kernels(Some(spark), h, 9L)
+    assert(onG == kernels(None, g, 9L))
+    assert(onH == kernels(None, h, 9L))
+    assert(onH != onG, "the two graphs should spread differently")
   }
 }

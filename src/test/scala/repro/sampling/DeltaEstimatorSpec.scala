@@ -68,11 +68,20 @@ class DeltaEstimatorSpec extends SparkSpec {
   }
 
   test("distributed estimate equals the local estimate exactly (same worlds)") {
-    // theta = 1 leaves all but one of the job's slices empty.
-    for (theta <- Seq(1, 2000)) {
+    // theta = 1 leaves all but one of the job's slices empty, theta below
+    // the slice count some of them.
+    val slices = spark.sparkContext.defaultParallelism
+    for (theta <- Seq(1, math.max(1, slices - 1), 2000)) {
       val local = DeltaEstimator.estimateLocal(g, ToyGraph.seed, theta, 7L)
       val dist = DeltaEstimator.estimate(spark, g, ToyGraph.seed, theta, 7L)
       assert(local.toSeq == dist.toSeq, s"theta=$theta")
+    }
+    // A blocked seed reaches nothing: every slice returns an empty partial.
+    val blocked = new Array[Boolean](g.n)
+    blocked(ToyGraph.seed) = true
+    for (cluster <- Seq(None, Some(spark))) {
+      val delta = DeltaEstimator.estimate(cluster, g, Array(ToyGraph.seed), blocked, 50, 7L, TriggeringModel.IndependentCascade)
+      assert(delta.forall(_ == 0.0), s"cluster=$cluster")
     }
   }
 
