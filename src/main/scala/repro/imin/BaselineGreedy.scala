@@ -15,7 +15,11 @@ import scala.collection.mutable.ArrayBuffer
   *
   * All candidates in a round share the same `r` sampled worlds (common
   * random numbers), which both reduces variance and makes BG's round-`i`
-  * choice comparable to AG's estimate semantics.
+  * choice comparable to AG's estimate semantics. What the candidates share
+  * is each world's coins: a sweep draws an edge's coin once per world and
+  * slice ([[repro.spread.MonteCarloSpread.sweepSums]]). What stays per
+  * candidate is every traversal: each candidate × world is its own walk
+  * from the seed, as in Alg. 1.
   */
 object BaselineGreedy {
 
@@ -33,29 +37,47 @@ object BaselineGreedy {
     require(b >= 1 && r >= 1, "b and r must be positive")
     val (red, notSeed) = Blocking.reduced(g, seeds)
     val rg = red.graph
-    val superSeed = red.superSeed
+    val roots = Array(red.superSeed)
     val blocked = new Array[Boolean](rg.n)
     val order = ArrayBuffer.empty[Int]
 
-    val support = Blocking.support(rg, Array(superSeed))
+    val support = Blocking.support(rg, roots)
 
-    def candidatesLeft = (0 until rg.n).filter(v => support(v) && !blocked(v) && notSeed(v))
+    def candidatesLeft(): Array[Int] = {
+      val left = Array.newBuilder[Int]
+      var v = 0
+      while (v < rg.n) {
+        if (support(v) && !blocked(v) && notSeed(v)) left += v
+        v += 1
+      }
+      left.result()
+    }
+    var candidates = candidatesLeft()
     // Later rounds sweep fewer candidates than the first.
-    val cluster = Execution.cluster(spark, rg, candidatesLeft.size.toDouble * r)
+    val cluster = Execution.cluster(spark, rg, candidates.length.toDouble * r)
 
     var i = 0
     var exhausted = false
     while (i < b && !exhausted) {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val candidates = candidatesLeft
       if (candidates.isEmpty) exhausted = true
       else {
-        val base = spreadSum(rg, superSeed, blocked, -1, r, roundSeed)
-        val sums = sweep(cluster, rg, superSeed, blocked, candidates, r, roundSeed)
-        // Max decrease == min spread; deterministic tie-break by smallest id.
-        val x = candidates.minBy(u => (sums(u), u))
-        if (base - sums(x) <= 0L) exhausted = true
-        else { blocked(x) = true; order += x }
+        val base = MonteCarloSpread.reachSum(rg, roots, blocked, roundSeed, 0L, r)
+        val sums = sweep(cluster, rg, red.superSeed, blocked, candidates, r, roundSeed)
+        // Max decrease == min spread; candidates ascend, so the first
+        // minimum breaks ties by smallest id.
+        var best = 0
+        var k = 1
+        while (k < candidates.length) {
+          if (sums(k) < sums(best)) best = k
+          k += 1
+        }
+        if (base - sums(best) <= 0L) exhausted = true
+        else {
+          blocked(candidates(best)) = true
+          order += candidates(best)
+          candidates = candidatesLeft()
+        }
       }
       i += 1
     }
@@ -63,43 +85,20 @@ object BaselineGreedy {
   }
 
   /** One round's sweep: the total reach count over the round's `r` worlds
-    * with each candidate blocked in turn, on the driver (`cluster = None`) or
-    * as one Spark job (one task evaluates a slice of the candidates).
+    * with each candidate blocked in turn, in candidate order, on the driver
+    * (`cluster = None`) or as one Spark job (one task sweeps a slice of the
+    * candidates; the slices' sums are concatenated in slice order).
     */
   private[imin] def sweep(
       cluster: Option[SparkSession],
       g: ProbGraph,
       root: Int,
       blocked: Array[Boolean],
-      candidates: Seq[Int],
+      candidates: Array[Int],
       r: Int,
-      roundSeed: Long): Map[Int, Long] =
-    Execution.run(cluster, g, (root, blocked, candidates.toArray), candidates.size) {
+      roundSeed: Long): Array[Long] =
+    Execution.run(cluster, g, (root, blocked, candidates), candidates.length) {
       case (g, (root, blocked, candidates), from, until) =>
-        val sums = Map.newBuilder[Int, Long]
-        var i = from.toInt
-        while (i < until) {
-          sums += candidates(i) -> spreadSum(g, root, blocked, candidates(i), r, roundSeed)
-          i += 1
-        }
-        sums.result()
+        MonteCarloSpread.sweepSums(g, Array(root), blocked, candidates, from.toInt, until.toInt, r, roundSeed)
     }(_ ++ _)
-
-  /** Total reach count over `r` sampled worlds with `extraBlock` also
-    * blocked (-1 for none).
-    */
-  private def spreadSum(
-      g: ProbGraph,
-      root: Int,
-      blocked: Array[Boolean],
-      extraBlock: Int,
-      r: Int,
-      roundSeed: Long): Long = {
-    val mask =
-      if (extraBlock < 0) blocked
-      else {
-        val m2 = blocked.clone(); m2(extraBlock) = true; m2
-      }
-    MonteCarloSpread.reachSum(g, Array(root), mask, roundSeed, 0L, r)
-  }
 }

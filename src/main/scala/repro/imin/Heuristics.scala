@@ -9,20 +9,73 @@ import scala.util.Random
 object Heuristics {
 
   /** RA: `b` uniformly random distinct non-seed vertices, deterministic in
-    * `seed`.
+    * `seed`: the first `b` of `scala.util.Random.shuffle` over the non-seed
+    * ids, its swaps replayed on an `Int` array.
     */
   def rand(g: ProbGraph, seeds: Set[Int], b: Int, seed: Long): Seq[Int] = {
     val rnd = new Random(seed)
-    val pool = (0 until g.n).filterNot(seeds.contains)
-    rnd.shuffle(pool).take(b)
+    val pool = nonSeeds(g, seeds)
+    var k = pool.length
+    while (k >= 2) {
+      val j = rnd.nextInt(k)
+      val t = pool(k - 1); pool(k - 1) = pool(j); pool(j) = t
+      k -= 1
+    }
+    pool.take(b).toSeq
   }
 
   /** OD: the `b` non-seed vertices with the highest out-degree (ties broken
     * by smallest id).
     */
-  def outDegree(g: ProbGraph, seeds: Set[Int], b: Int): Seq[Int] =
-    (0 until g.n)
-      .filterNot(seeds.contains)
-      .sortBy(v => (-g.outDegree(v), v))
-      .take(b)
+  def outDegree(g: ProbGraph, seeds: Set[Int], b: Int): Seq[Int] = {
+    val pool = nonSeeds(g, seeds)
+    val k = math.min(math.max(b, 0), pool.length)
+    if (k == 0) Seq.empty
+    else {
+      // The k-th highest out-degree `cut`: every vertex above it is taken,
+      // and the smallest ids at it fill the rest.
+      var maxDeg = 0
+      var i = 0
+      while (i < pool.length) { maxDeg = math.max(maxDeg, g.outDegree(pool(i))); i += 1 }
+      val atDeg = new Array[Int](maxDeg + 1)
+      i = 0
+      while (i < pool.length) { atDeg(g.outDegree(pool(i))) += 1; i += 1 }
+      var cut = maxDeg
+      var atLeastCut = atDeg(cut)
+      while (atLeastCut < k) { cut -= 1; atLeastCut += atDeg(cut) }
+      var fromCut = k - (atLeastCut - atDeg(cut))
+      // Keys (-outDegree, id), one Long each, sorted.
+      val keys = new Array[Long](k)
+      var t = 0
+      i = 0
+      while (i < pool.length) {
+        val v = pool(i)
+        val d = g.outDegree(v)
+        if (d > cut || (d == cut && fromCut > 0)) {
+          if (d == cut) fromCut -= 1
+          keys(t) = (-d.toLong << 32) | v
+          t += 1
+        }
+        i += 1
+      }
+      java.util.Arrays.sort(keys)
+      val top = new Array[Int](k)
+      i = 0
+      while (i < k) { top(i) = keys(i).toInt; i += 1 }
+      top.toSeq
+    }
+  }
+
+  /** The non-seed vertex ids of `g`, ascending. */
+  private def nonSeeds(g: ProbGraph, seeds: Set[Int]): Array[Int] = {
+    val isSeed = new Array[Boolean](g.n)
+    seeds.foreach(s => if (s >= 0 && s < g.n) isSeed(s) = true)
+    val pool = Array.newBuilder[Int]
+    var v = 0
+    while (v < g.n) {
+      if (!isSeed(v)) pool += v
+      v += 1
+    }
+    pool.result()
+  }
 }

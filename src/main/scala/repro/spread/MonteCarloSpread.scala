@@ -36,6 +36,51 @@ object MonteCarloSpread {
     sum
   }
 
+  /** BG's sweep over the candidates `candidates(from until until)`: the
+    * total reach count of `roots` over the `r` worlds keyed by `masterSeed`
+    * with `blocked` and one candidate blocked, in candidate order. Worlds run
+    * one at a time; within a world every candidate gets its own traversal,
+    * but an edge's coin is drawn once per world and kept in a memo (`stamp`
+    * holds the world's epoch w + 1 for edges drawn, so no per-world reset).
+    */
+  def sweepSums(
+      g: ProbGraph,
+      roots: Array[Int],
+      blocked: Array[Boolean],
+      candidates: Array[Int],
+      from: Int,
+      until: Int,
+      r: Int,
+      masterSeed: Long): Array[Long] = {
+    val sums = new Array[Long](until - from)
+    val mask = if (blocked == null) new Array[Boolean](g.n) else blocked.clone()
+    val vis = new Array[Boolean](g.n)
+    val stamp = new Array[Int](g.m)
+    val live = new Array[Boolean](g.m)
+    val probs = g.probs
+    var w = 0
+    while (w < r) {
+      val sampleSeed = Rng.sampleSeed(masterSeed, w)
+      val epoch = w + 1
+      val keepEdge = (e: Int) => {
+        if (stamp(e) != epoch) { stamp(e) = epoch; live(e) = Rng.edgeKeep(sampleSeed, e, probs(e)) }
+        live(e)
+      }
+      var i = from
+      while (i < until) {
+        val c = candidates(i)
+        val was = mask(c)
+        mask(c) = true
+        java.util.Arrays.fill(vis, false)
+        sums(i - from) += GraphSampler.reach(g, roots, mask, vis)(keepEdge)
+        mask(c) = was
+        i += 1
+      }
+      w += 1
+    }
+    sums
+  }
+
   /** Reach count of `roots` in the world keyed by `sampleSeed`, reusing
     * `vis` (cleared first).
     */

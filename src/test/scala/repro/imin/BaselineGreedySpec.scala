@@ -2,8 +2,10 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
+import repro.exp.Datasets
 import repro.graph.{ProbGraph, ToyGraph}
-import repro.spread.ExactSpread
+import repro.spread.{ExactSpread, MonteCarloSpread}
+import repro.util.Rng
 
 class BaselineGreedySpec extends SparkSpec {
 
@@ -53,14 +55,50 @@ class BaselineGreedySpec extends SparkSpec {
     val (red, notSeed) = Blocking.reduced(g, seeds)
     for (i <- 0 to order.size) {
       val blocked = Blocking.maskOf(red.graph.n, order.take(i))
-      val candidates = (0 until red.graph.n).filter(v => notSeed(v) && !blocked(v))
+      val candidates = (0 until red.graph.n).filter(v => notSeed(v) && !blocked(v)).toArray
       // One candidate leaves all but one of the job's slices empty.
       for (cs <- Seq(candidates, candidates.take(1))) {
         def sweep(cluster: Option[SparkSession]) =
           BaselineGreedy.sweep(cluster, red.graph, red.superSeed, blocked, cs, 1000, 6L + i)
-        assert(sweep(None) == sweep(Some(spark)), s"round ${i + 1}, ${cs.size} candidates")
+        val (local, dist) = (sweep(None), sweep(Some(spark)))
+        assert(local.length == cs.length && local.sameElements(dist), s"round ${i + 1}, ${cs.length} candidates")
       }
     }
+  }
+
+  test("BG's blocker order on the Wiki-Vote substitute equals the per-candidate definition") {
+    val spec = Datasets.byName("Wiki-Vote")
+    val h = Datasets.withModel(spec.graph, "TR", spec.seed)
+    val hSeeds = Datasets.randomSeeds(h, 10, 90L)
+    val (b, r, masterSeed) = (3, 100, 81L)
+    // Reference: Algorithm 1 with one mask copy and one r-world MCS per
+    // candidate, each drawing its own coins.
+    val (red, notSeed) = Blocking.reduced(h, hSeeds)
+    val root = Array(red.superSeed)
+    val support = Blocking.support(red.graph, root)
+    val blocked = new Array[Boolean](red.graph.n)
+    val want = scala.collection.mutable.ArrayBuffer.empty[Int]
+    var i = 0
+    var exhausted = false
+    while (i < b && !exhausted) {
+      val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
+      def spreadSum(extra: Int) = {
+        val mask = blocked.clone()
+        if (extra >= 0) mask(extra) = true
+        MonteCarloSpread.reachSum(red.graph, root, mask, roundSeed, 0L, r)
+      }
+      val candidates = (0 until red.graph.n).filter(v => support(v) && !blocked(v) && notSeed(v))
+      if (candidates.isEmpty) exhausted = true
+      else {
+        val sums = candidates.map(u => u -> spreadSum(u)).toMap
+        val x = candidates.minBy(u => (sums(u), u))
+        if (spreadSum(-1) - sums(x) <= 0L) exhausted = true
+        else { blocked(x) = true; want += x }
+      }
+      i += 1
+    }
+    assert(want.size == b)
+    assert(BaselineGreedy.run(spark, h, hSeeds, b, r, masterSeed) == want.toSeq)
   }
 
   test("BG stops when no candidate decreases the spread") {

@@ -2,6 +2,7 @@ package repro.imin
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.{ProbGraph, ToyGraph}
+import scala.util.Random
 
 class HeuristicsSpec extends AnyFunSuite {
 
@@ -44,5 +45,27 @@ class HeuristicsSpec extends AnyFunSuite {
   test("outDegree never picks a seed even if it has max degree") {
     val h = ProbGraph.fromEdges(4, Seq((0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0), (1, 2, 1.0)))
     assert(Heuristics.outDegree(h, Set(0), 2) == Seq(1, 2))
+  }
+
+  test("rand and outDegree equal their boxed definitions on random graphs") {
+    // Reference definitions over boxed collections.
+    def randRef(g: ProbGraph, seeds: Set[Int], b: Int, seed: Long): Seq[Int] =
+      new Random(seed).shuffle((0 until g.n).filterNot(seeds.contains)).take(b)
+    def outDegreeRef(g: ProbGraph, seeds: Set[Int], b: Int): Seq[Int] =
+      (0 until g.n).filterNot(seeds.contains).sortBy(v => (-g.outDegree(v), v)).take(b)
+    val rnd = new Random(23)
+    for (k <- 0 until 100) {
+      val n = 1 + rnd.nextInt(60)
+      val edges = Seq.fill(rnd.nextInt(3 * n))((rnd.nextInt(n), rnd.nextInt(n), 1.0)).filter(e => e._1 != e._2)
+      val h = ProbGraph.fromEdges(n, edges)
+      // Sometimes every vertex is a seed, leaving an empty pool.
+      val hSeeds = if (k % 25 == 0) (0 until n).toSet else Set.fill(1 + rnd.nextInt(4))(rnd.nextInt(n))
+      val pool = n - hSeeds.size
+      for (b <- Seq(0, 1, 1 + rnd.nextInt(n), pool + 1 + rnd.nextInt(5))) {
+        val seed = rnd.nextLong()
+        assert(Heuristics.rand(h, hSeeds, b, seed) == randRef(h, hSeeds, b, seed), s"graph $k, b = $b")
+        assert(Heuristics.outDegree(h, hSeeds, b) == outDegreeRef(h, hSeeds, b), s"graph $k, b = $b")
+      }
+    }
   }
 }

@@ -3,6 +3,7 @@ package repro.spread
 import repro.SparkSpec
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.imin.Blocking
+import scala.util.Random
 
 class MonteCarloSpreadSpec extends SparkSpec {
 
@@ -67,6 +68,35 @@ class MonteCarloSpreadSpec extends SparkSpec {
   test("multi-seed spread counts all seeds") {
     val h = ProbGraph.fromEdges(4, Seq((0, 2, 1.0), (1, 3, 1.0)))
     assert(MonteCarloSpread.spreadLocal(h, Array(0, 1), 10, 15L) == 4.0)
+  }
+
+  test("sweepSums equals reachSum with each candidate added to the mask") {
+    val rnd = new Random(17)
+    for (k <- 0 until 100) {
+      val n = 2 + rnd.nextInt(30)
+      // Certain, impossible and uncertain edges.
+      val edges = Seq.fill(rnd.nextInt(4 * n)) {
+        val p = rnd.nextInt(3) match { case 0 => 0.0; case 1 => 1.0; case _ => rnd.nextDouble() }
+        (rnd.nextInt(n), rnd.nextInt(n), p)
+      }.filter(e => e._1 != e._2)
+      val h = ProbGraph.fromEdges(n, edges)
+      val roots = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(n)).distinct.sorted
+      val blocked = if (k % 10 == 0) null else Array.fill(n)(rnd.nextInt(5) == 0)
+      // Every vertex, blocked ones and roots included, in random order.
+      val candidates = rnd.shuffle((0 until n).toVector).toArray
+      val from = rnd.nextInt(n)
+      val until = from + rnd.nextInt(n - from + 1)
+      for (r <- Seq(1, 7, 100)) {
+        val seed = rnd.nextLong()
+        val want = (from until until).map { i =>
+          val mask = if (blocked == null) new Array[Boolean](n) else blocked.clone()
+          mask(candidates(i)) = true
+          MonteCarloSpread.reachSum(h, roots, mask, seed, 0L, r)
+        }
+        val got = MonteCarloSpread.sweepSums(h, roots, blocked, candidates, from, until, r, seed)
+        assert(got.toSeq == want, s"graph $k, r = $r, slice [$from, $until)")
+      }
+    }
   }
 
   test("r must be positive") {
