@@ -89,7 +89,7 @@ object BaselineGreedy {
     * (`cluster = None`) or as one Spark job (one task sweeps a slice of the
     * candidates; the slices' sums are concatenated in slice order).
     */
-  private[imin] def sweep(
+  private[repro] def sweep(
       cluster: Option[SparkSession],
       g: ProbGraph,
       root: Int,

@@ -79,6 +79,7 @@ object GreedyReplace {
       DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed, model)
 
     val cb = seedOutNeighbors(g, seeds)
+    val inCb = Blocking.maskOf(g.n, cb)
     val blocked = new Array[Boolean](g.n)
     val order = ArrayBuffer.empty[Int]
 
@@ -87,7 +88,7 @@ object GreedyReplace {
     var i = 0
     while (i < rounds) {
       val delta = deltasOf(blocked, Rng.splitmix64(masterSeed ^ (i + 1).toLong))
-      val x = Blocking.argmaxDelta(delta, v => cb.contains(v) && !blocked(v))
+      val x = Blocking.argmaxDelta(delta, v => inCb(v) && !blocked(v))
       // x >= 0 because |CB| >= rounds; zero-delta out-neighbors are still
       // taken, mirroring "first select b out-neighbors". A taken x stays in
       // CB but is blocked.

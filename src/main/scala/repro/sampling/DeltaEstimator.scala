@@ -21,12 +21,14 @@ import repro.util.Rng
   *
   * The θ samples are one [[repro.Execution.run]] job: each slice of worlds
   * runs the sample→dominator-tree→subtree-size kernel with one
-  * [[DominatorTree.Workspace]] into one Δ-sum array and returns only its
-  * touched vertices and their sums, which the driver adds into one array
-  * (a world reaches a small part of a large graph, so these partials are
-  * far smaller than n). The sums are integer-valued, so the order of the
-  * additions does not change them. Whether the job runs on the driver or
-  * over Spark is decided by [[repro.Execution]].
+  * [[DominatorTree.Workspace]] into one Δ-sum array. A slice that holds
+  * every world (the driver path, or a job whose other slices are empty)
+  * returns that array, which becomes Δ in place. Any other slice returns
+  * only its touched vertices and their sums, which the driver adds into one
+  * array (a world reaches a small part of a large graph, so these partials
+  * are far smaller than n). The sums are integer-valued, so the order of
+  * the additions does not change them. Whether the job runs on the driver
+  * or over Spark is decided by [[repro.Execution]].
   */
 object DeltaEstimator {
 
@@ -76,7 +78,8 @@ object DeltaEstimator {
   /** Δ of every vertex over the θ worlds keyed by `masterSeed`, with the
     * seeds `roots` and `blocked` vertices (null: none) masked out, on the
     * driver (`cluster = None`) or as one Spark job, one workspace and one
-    * Δ-sum array per slice of worlds; each slice returns its nonzero sums.
+    * Δ-sum array per slice of worlds. A slice's partial is `(null, sums)`
+    * when it holds all θ worlds, else its nonzero sums `(vertices, sums)`.
     */
   def estimate(
       cluster: Option[SparkSession],
@@ -95,12 +98,17 @@ object DeltaEstimator {
         accumulateSample(g, roots, blocked, Rng.sampleSeed(masterSeed, i), acc, ws, model)
         i += 1
       }
-      List(touched(acc))
+      List(if (from == 0 && until == theta) (null, acc) else touched(acc))
     }(_ ::: _)
-    val sums = new Array[Double](g.n)
-    for ((vs, xs) <- parts) {
-      var k = 0
-      while (k < vs.length) { sums(vs(k)) += xs(k); k += 1 }
+    val sums = parts match {
+      case List((null, all)) => all
+      case _ =>
+        val sums = new Array[Double](g.n)
+        for ((vs, xs) <- parts) {
+          var k = 0
+          while (k < vs.length) { sums(vs(k)) += xs(k); k += 1 }
+        }
+        sums
     }
     finish(sums, roots, theta)
   }

@@ -1,18 +1,21 @@
 package repro
 
+import java.lang.management.ManagementFactory
 import org.apache.spark.ListenerBusDrain
-import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerBlockUpdated, SparkListenerJobStart}
 import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.BroadcastBlockId
 import repro.exp.Datasets
 import repro.graph.{ProbGraph, PropModels, SocialGraphGen}
+import repro.imin.BaselineGreedy
 import repro.sampling.{DeltaEstimator, TriggeringModel}
 import repro.spread.MonteCarloSpread
 import scala.collection.mutable
 
 /** AG/GR price a round on the graph they run on, the input graph itself;
   * a job's work items are cut into contiguous slices; over Spark a graph is
-  * broadcast once per context and graph object.
+  * broadcast once per context and graph object, and a job is one Spark job
+  * whose fixed cost on the submitting thread stays small.
   */
 class ExecutionSpec extends SparkSpec {
 
@@ -29,6 +32,12 @@ class ExecutionSpec extends SparkSpec {
         case _ =>
       }
     }
+  }
+
+  /** Spark jobs started, as the driver's listener bus reports them. */
+  private class JobStarts extends SparkListener {
+    @volatile var count = 0
+    override def onJobStart(e: SparkListenerJobStart): Unit = synchronized { count += 1 }
   }
 
   /** Δ and MCS of `g` from the roots `0, 1` with vertex 2 blocked. */
@@ -114,5 +123,49 @@ class ExecutionSpec extends SparkSpec {
     assert(onG == kernels(None, g, 9L))
     assert(onH == kernels(None, h, 9L))
     assert(onH != onG, "the two graphs should spread differently")
+  }
+
+  test("jobs whose slices are all empty but one or two: Spark equals the driver, one Spark job per call") {
+    val g = PropModels.trivalency(SocialGraphGen.powerLaw(300, 1200, directed = true, 61L), 61L)
+    val blocked = new Array[Boolean](g.n)
+    blocked(2) = true
+    val candidates = (3 until 40).toArray
+    val sc = spark.sparkContext
+    val counts = Seq(1, sc.defaultParallelism - 1).filter(_ >= 1).distinct
+    def deltaMcsSweep(cluster: Option[SparkSession], count: Int) = (
+      DeltaEstimator.estimate(cluster, g, Array(0, 1), blocked, count, 5L, TriggeringModel.IndependentCascade).toSeq,
+      MonteCarloSpread.spread(cluster, g, Array(0, 1), count, 5L, blocked),
+      BaselineGreedy.sweep(cluster, g, 0, blocked, candidates.take(count), 50, 5L).toSeq)
+    val jobs = new JobStarts
+    sc.addSparkListener(jobs)
+    val onSpark =
+      try {
+        val results = counts.map(deltaMcsSweep(Some(spark), _))
+        ListenerBusDrain(sc)
+        results
+      } finally sc.removeSparkListener(jobs)
+    assert(jobs.count == 3 * counts.size, s"${jobs.count} Spark jobs for ${3 * counts.size} calls")
+    for ((count, got) <- counts.zip(onSpark))
+      assert(got == deltaMcsSweep(None, count), s"count = $count")
+  }
+
+  test("a Spark job allocates under 1 MB on the thread that submits it") {
+    // A fan-out written as RDD lambdas makes Spark's closure cleaner parse
+    // class files and serialize the closure on this thread: about 4.7 MB
+    // per job on this graph.
+    val g = PropModels.trivalency(SocialGraphGen.powerLaw(100000, 150000, directed = false, 21L), 21L)
+    val mask = new Array[Boolean](g.n)
+    mask(7) = true
+    val threads = ManagementFactory.getThreadMXBean.asInstanceOf[com.sun.management.ThreadMXBean]
+    def job(): Long = Execution.run(Some(spark), g, mask, 1000L) { case (_, mask, from, until) =>
+      if (mask(7)) until - from else 0L
+    }(_ + _)
+    for (_ <- 0 until 10) assert(job() == 1000L)
+    val bytes = (0 until 20).map { _ =>
+      val before = threads.getCurrentThreadAllocatedBytes
+      job()
+      threads.getCurrentThreadAllocatedBytes - before
+    }.sorted
+    assert(bytes(10) < (1L << 20), s"bytes allocated per job, sorted: $bytes")
   }
 }
