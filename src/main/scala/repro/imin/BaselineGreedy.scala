@@ -16,10 +16,11 @@ import scala.collection.mutable.ArrayBuffer
   * All candidates in a round share the same `r` sampled worlds (common
   * random numbers), which both reduces variance and makes BG's round-`i`
   * choice comparable to AG's estimate semantics. What the candidates share
-  * is each world's coins: a sweep draws an edge's coin once per world and
-  * slice ([[repro.spread.MonteCarloSpread.sweepSums]]). What stays per
+  * is each world's live subgraph: a sweep walks a world once from the seed
+  * with the round's blockers, and keeps the live edges among the vertices
+  * it reaches ([[repro.spread.MonteCarloSpread.sweepSums]]). What stays per
   * candidate is every traversal: each candidate × world is its own walk
-  * from the seed, as in Alg. 1.
+  * from the seed on that subgraph, as in Alg. 1.
   */
 object BaselineGreedy {
 
@@ -99,6 +100,6 @@ object BaselineGreedy {
       roundSeed: Long): Array[Long] =
     Execution.run(cluster, g, (root, blocked, candidates), candidates.length) {
       case (g, (root, blocked, candidates), from, until) =>
-        MonteCarloSpread.sweepSums(g, Array(root), blocked, candidates, from.toInt, until.toInt, r, roundSeed)
+        MonteCarloSpread.sweepSums(g, Array(root), blocked, candidates, 1, from.toInt, until.toInt, r, roundSeed)
     }(_ ++ _)
 }

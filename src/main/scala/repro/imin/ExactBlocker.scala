@@ -13,7 +13,11 @@ import repro.spread.MonteCarloSpread
   * comparison between candidate sets (and later against GR) is exact on the
   * sampled measure, mirroring the paper's exact-spread evaluation [39] of
   * its small extracts. The `C(candidates, b)` combinations are unranked
-  * combinatorially, so one combination index names one blocker set.
+  * combinatorially, so one combination index names one blocker set. They
+  * are evaluated world-major, by BG's sweep kernel
+  * ([[repro.spread.MonteCarloSpread.sweepSums]]): each world's live
+  * subgraph is built once per chunk of combinations, and every
+  * combination × world is still its own walk on it.
   */
 object ExactBlocker {
 
@@ -88,9 +92,17 @@ object ExactBlocker {
     (blockers, bestSum.toDouble / thetaEval)
   }
 
+  /** Blocker sets one sweep call evaluates: bounds a slice's set and sum
+    * arrays, whatever its number of combinations.
+    */
+  private val Chunk = 4096
+
   /** Every `b`-subset of `candidates` evaluated on the pool of `thetaEval`
     * worlds, on the driver (`cluster = None`) or as one Spark job, one task
-    * per slice of combination indices.
+    * per slice of combination indices. A slice walks its combinations in
+    * colex order, [[Chunk]] at a time: each chunk is one
+    * [[repro.spread.MonteCarloSpread.sweepSums]] call with stride `b`,
+    * followed by an argmin.
     *
     * @return (smallest total reach count, its combination index); ties go to
     *         the smallest index
@@ -105,14 +117,36 @@ object ExactBlocker {
       masterSeed: Long): (Long, Long) =
     Execution.run(cluster, g, (roots, candidates), choose(candidates.length, b)) {
       case (g, (roots, candidates), from, until) =>
+        val pos = unrank(from, b)
+        val sets = new Array[Int](Chunk * b)
         var best = (Long.MaxValue, -1L)
         var idx = from
         while (idx < until) {
-          val mask = Blocking.maskOf(g.n, unrank(idx, b).map(candidates(_)))
-          val sum = MonteCarloSpread.reachSum(g, roots, mask, masterSeed, 0L, thetaEval)
-          if (sum < best._1) best = (sum, idx) // ids ascend: a tie keeps the smaller index
-          idx += 1
+          val k = math.min(Chunk.toLong, until - idx).toInt
+          var s = 0
+          while (s < k) {
+            var j = 0
+            while (j < b) { sets(s * b + j) = candidates(pos(j)); j += 1 }
+            nextCombination(pos)
+            s += 1
+          }
+          val sums = MonteCarloSpread.sweepSums(g, roots, null, sets, b, 0, k, thetaEval, masterSeed)
+          s = 0
+          while (s < k) {
+            if (sums(s) < best._1) best = (sums(s), idx + s) // ids ascend: a tie keeps the smaller index
+            s += 1
+          }
+          idx += k
         }
         best
     }(Ordering[(Long, Long)].min)
+
+  /** Step the positions `pos` (strictly increasing) to the next `b`-subset
+    * in colex order, the one [[unrank]] gives for the next index.
+    */
+  def nextCombination(pos: Array[Int]): Unit = {
+    var j = 0
+    while (j + 1 < pos.length && pos(j) + 1 == pos(j + 1)) { pos(j) = j; j += 1 }
+    pos(j) += 1
+  }
 }

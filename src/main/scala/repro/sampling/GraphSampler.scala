@@ -19,7 +19,9 @@ object GraphSampler {
   def edgeMask(g: ProbGraph, sampleSeed: Long): Array[Boolean] =
     Array.tabulate(g.m)(liveEdge(g, sampleSeed))
 
-  /** The reachability kernel every spread computation runs on: marks in
+  /** The reachability kernel of one world, which MCS, exact spread and the
+    * candidate support run on (BG's and Exact's sweeps walk each world's
+    * live subgraph instead, `MonteCarloSpread.sweepSums`): marks in
     * `vis` each vertex reachable from `roots` over edges satisfying
     * `keepEdge`, never entering a `blocked` vertex (null: none; a blocked
     * root counts as unreached), and returns how many vertices it marked.

@@ -19,15 +19,15 @@ import scala.collection.mutable
   */
 class ExecutionSpec extends SparkSpec {
 
-  /** Bytes of the broadcast pieces the driver stores, per broadcast id, as
-    * perfbench's `spark.broadcast_mb` counts them.
+  /** Bytes of the broadcast pieces the driver stores, per broadcast id
+    * above `floor`, as perfbench's `spark.broadcast_mb` counts them.
     */
-  private class BroadcastPieces extends SparkListener {
+  private class BroadcastPieces(floor: Long) extends SparkListener {
     val bytes = mutable.Map.empty[Long, Long]
     override def onBlockUpdated(e: SparkListenerBlockUpdated): Unit = synchronized {
       val info = e.blockUpdatedInfo
       info.blockId match {
-        case BroadcastBlockId(id, field) if field.startsWith("piece") =>
+        case BroadcastBlockId(id, field) if id > floor && field.startsWith("piece") =>
           bytes(id) = bytes.getOrElse(id, 0L) + info.memSize + info.diskSize
         case _ =>
       }
@@ -85,8 +85,12 @@ class ExecutionSpec extends SparkSpec {
     // Four small graphs in turn: with g, one more than the cache keeps, so
     // g stays cached only if the least recently used entry is evicted.
     val others = (0 until 4).map(k => PropModels.trivalency(SocialGraphGen.powerLaw(300, 1200, directed = true, k), k))
-    val pieces = new BroadcastPieces
     val sc = spark.sparkContext
+    // Count only broadcasts made from here on: an earlier one (a graph of
+    // an earlier test) may report its pieces again while this test runs.
+    val probe = sc.broadcast(0)
+    val pieces = new BroadcastPieces(probe.id)
+    probe.destroy()
     sc.addSparkListener(pieces)
     try {
       for (j <- 0 until 5) {

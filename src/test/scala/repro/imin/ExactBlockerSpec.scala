@@ -1,14 +1,42 @@
 package repro.imin
 
 import repro.SparkSpec
+import repro.exp.{Datasets, Extracts}
 import repro.graph.{ProbGraph, ToyGraph}
-import repro.spread.ExactSpread
+import repro.spread.{ExactSpread, MonteCarloSpread}
+import repro.util.Rng
+import scala.util.Random
 
 class ExactBlockerSpec extends SparkSpec {
 
   private val g = ToyGraph.graph
   private val seeds = Set(ToyGraph.seed)
   private def v(k: Int) = ToyGraph.v(k)
+
+  /** The combination-major search Exact ran before its sweep: one mask and
+    * one `reachSum` over the pool per combination index, in index order.
+    */
+  private def oracleSearch(
+      g: ProbGraph,
+      roots: Array[Int],
+      candidates: Array[Int],
+      b: Int,
+      thetaEval: Int,
+      masterSeed: Long): (Long, Long) = {
+    var best = (Long.MaxValue, -1L)
+    for (idx <- 0L until ExactBlocker.choose(candidates.length, b)) {
+      val mask = Blocking.maskOf(g.n, ExactBlocker.unrank(idx, b).map(candidates(_)))
+      val sum = MonteCarloSpread.reachSum(g, roots, mask, masterSeed, 0L, thetaEval)
+      if (sum < best._1) best = (sum, idx)
+    }
+    best
+  }
+
+  /** Exact's candidates: the non-root vertices of the support. */
+  private def candidatesOf(g: ProbGraph, roots: Array[Int]): Array[Int] = {
+    val support = Blocking.support(g, roots)
+    (0 until g.n).filter(u => support(u) && !roots.contains(u)).toArray
+  }
 
   test("choose computes binomial coefficients") {
     assert(ExactBlocker.choose(5, 0) == 1L)
@@ -32,6 +60,70 @@ class ExactBlockerSpec extends SparkSpec {
     for (i <- 0L until ExactBlocker.choose(6, 3)) {
       val pos = ExactBlocker.unrank(i, 3)
       assert(pos.sliding(2).forall(w => w(0) < w(1)), s"idx=$i -> ${pos.toSeq}")
+    }
+  }
+
+  test("nextCombination steps through unrank's order") {
+    for (k <- Seq(1, 5, 9); b <- 1 to math.min(k, 4)) {
+      val pos = ExactBlocker.unrank(0L, b)
+      for (idx <- 0L until ExactBlocker.choose(k, b)) {
+        assert(pos.toSeq == ExactBlocker.unrank(idx, b).toSeq, s"k=$k b=$b idx=$idx")
+        ExactBlocker.nextCombination(pos)
+      }
+    }
+  }
+
+  test("the sweep search equals the combination-major oracle on random small graphs") {
+    // Two children of the seed with equal subtrees: blocking either gives the
+    // same sum in every world, a tie the smaller index must win.
+    val fork = ProbGraph.fromEdges(5, Seq((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0)))
+    val forkCandidates = Array(3, 1, 2, 4)
+    assert(ExactBlocker.search(None, fork, Array(0), forkCandidates, 1, 5, 3L) == (15L, 1L))
+    assert(oracleSearch(fork, Array(0), forkCandidates, 1, 5, 3L) == (15L, 1L))
+    val rnd = new Random(23)
+    var ties = 0
+    for (k <- 0 until 60) {
+      val n = 3 + rnd.nextInt(12)
+      val edges = Seq.fill(rnd.nextInt(3 * n)) {
+        val p = rnd.nextInt(3) match { case 0 => 0.0; case 1 => 1.0; case _ => rnd.nextDouble() }
+        (rnd.nextInt(n), rnd.nextInt(n), p)
+      }.filter(e => e._1 != e._2)
+      val h = ProbGraph.fromEdges(n, edges)
+      val roots = Array.fill(1 + rnd.nextInt(2))(rnd.nextInt(n)).distinct.sorted
+      val candidates = candidatesOf(h, roots)
+      if (candidates.nonEmpty) {
+        val b = 1 + rnd.nextInt(math.min(3, candidates.length))
+        for (theta <- Seq(1, 7, 50)) {
+          val seed = rnd.nextLong()
+          val want = oracleSearch(h, roots, candidates, b, theta, seed)
+          assert(ExactBlocker.search(None, h, roots, candidates, b, theta, seed) == want, s"graph $k, b=$b, theta=$theta")
+          val sums = (0L until ExactBlocker.choose(candidates.length, b)).map { idx =>
+            MonteCarloSpread.reachSum(h, roots, Blocking.maskOf(n, ExactBlocker.unrank(idx, b).map(candidates(_))), seed, 0L, theta)
+          }
+          if (sums.count(_ == want._1) > 1) ties += 1
+        }
+      }
+    }
+    assert(ties >= 10, s"only $ties searches had a tied minimum")
+  }
+
+  test("the sweep search equals the combination-major oracle on the Table V/VI extracts") {
+    // The extracts of Tables.tableExactVsGR; a smaller pool than its 500
+    // worlds, since the two searches agree world by world.
+    val spec = Datasets.byName("EmailCore")
+    for (model <- Seq("TR", "WC")) {
+      val base = Datasets.withModel(spec.graph, model, spec.seed)
+      for (i <- 1 to 3) {
+        val (sub, _) = Extracts.neighborhoodExtract(base, 30, 42L + i)
+        val roots = Datasets.randomSeeds(sub, 5, 142L + i).toArray.sorted
+        val candidates = candidatesOf(sub, roots)
+        val evalSeed = Rng.splitmix64(42L + 1000 + i - 1)
+        for (b <- Seq(2, 3)) {
+          val want = oracleSearch(sub, roots, candidates, b, 50, evalSeed)
+          assert(ExactBlocker.search(None, sub, roots, candidates, b, 50, evalSeed) == want,
+            s"$model extract $i (${candidates.length} candidates), b=$b")
+        }
+      }
     }
   }
 

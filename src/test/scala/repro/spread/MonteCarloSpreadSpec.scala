@@ -71,32 +71,50 @@ class MonteCarloSpreadSpec extends SparkSpec {
   }
 
   test("sweepSums equals reachSum with each candidate added to the mask") {
+    // Blocker sets of stride 1 to 4 whose members may be roots, blocked,
+    // off the support or repeated, on graphs with duplicate edges.
     val rnd = new Random(17)
-    for (k <- 0 until 100) {
+    val covered = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
+    for (k <- 0 until 120) {
       val n = 2 + rnd.nextInt(30)
-      // Certain, impossible and uncertain edges.
-      val edges = Seq.fill(rnd.nextInt(4 * n)) {
+      // Certain, impossible and uncertain edges; about a quarter of them twice.
+      val drawn = Seq.fill(rnd.nextInt(4 * n)) {
         val p = rnd.nextInt(3) match { case 0 => 0.0; case 1 => 1.0; case _ => rnd.nextDouble() }
         (rnd.nextInt(n), rnd.nextInt(n), p)
       }.filter(e => e._1 != e._2)
+      val edges = rnd.shuffle(drawn ++ drawn.filter(_ => rnd.nextInt(4) == 0))
       val h = ProbGraph.fromEdges(n, edges)
       val roots = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(n)).distinct.sorted
       val blocked = if (k % 10 == 0) null else Array.fill(n)(rnd.nextInt(5) == 0)
-      // Every vertex, blocked ones and roots included, in random order.
-      val candidates = rnd.shuffle((0 until n).toVector).toArray
-      val from = rnd.nextInt(n)
-      val until = from + rnd.nextInt(n - from + 1)
+      val stride = 1 + k % 4
+      // Stride 1: every vertex once, in random order (BG's candidates);
+      // wider: random vertices, so members repeat within a set.
+      val sets =
+        if (stride == 1) rnd.shuffle((0 until n).toVector).toArray
+        else Array.fill(stride * rnd.nextInt(2 * n + 1))(rnd.nextInt(n))
+      val nSets = sets.length / stride
+      val from = rnd.nextInt(nSets + 1)
+      val until = from + rnd.nextInt(nSets - from + 1)
+      val support = Blocking.support(h, roots)
+      for (i <- from until until; set = sets.slice(i * stride, (i + 1) * stride)) {
+        if (set.exists(roots.contains)) covered("root") += 1
+        if (blocked != null && set.exists(blocked)) covered("blocked") += 1
+        if (set.exists(!support(_))) covered("off the support") += 1
+        if (set.distinct.length < stride) covered("repeated") += 1
+      }
       for (r <- Seq(1, 7, 100)) {
         val seed = rnd.nextLong()
         val want = (from until until).map { i =>
           val mask = if (blocked == null) new Array[Boolean](n) else blocked.clone()
-          mask(candidates(i)) = true
+          (i * stride until (i + 1) * stride).foreach(j => mask(sets(j)) = true)
           MonteCarloSpread.reachSum(h, roots, mask, seed, 0L, r)
         }
-        val got = MonteCarloSpread.sweepSums(h, roots, blocked, candidates, from, until, r, seed)
-        assert(got.toSeq == want, s"graph $k, r = $r, slice [$from, $until)")
+        val got = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed)
+        assert(got.toSeq == want, s"graph $k, stride $stride, r = $r, sets [$from, $until)")
       }
     }
+    for (kind <- Seq("root", "blocked", "off the support", "repeated"))
+      assert(covered(kind) >= 10, s"only ${covered(kind)} sets with a member $kind")
   }
 
   test("r must be positive") {
