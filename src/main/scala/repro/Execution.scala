@@ -133,13 +133,13 @@ object Execution {
     * the cache. Entries are keyed by the identity (`eq`) of the context and
     * the graph, which is sound because a [[ProbGraph]] is immutable; so a
     * copy such as `mapProbs`' result, which shares arrays with its source,
-    * is a graph of its own. The [[CachedGraphs]] most recently used entries
-    * are kept, enough for an AG/GR run's graph and BG's reduced graph; an
-    * evicted entry's broadcast is destroyed (so a job still running on it
-    * from another driver thread would fail; the algorithms submit their
-    * jobs from one thread), and an entry whose context has stopped is
-    * dropped without a call to `destroy` (its broadcast went with the
-    * context).
+    * is a graph of its own. Every algorithm runs on the graph it is given,
+    * so a run needs one entry; the [[CachedGraphs]] most recently used
+    * entries are kept, room for a few instances used in turn. An evicted
+    * entry's broadcast is destroyed (so a job still running on it from
+    * another driver thread would fail; the algorithms submit their jobs
+    * from one thread), and an entry whose context has stopped is dropped
+    * without a call to `destroy` (its broadcast went with the context).
     */
   private def graphBroadcast(sc: SparkContext, g: ProbGraph): Broadcast[ProbGraph] = graphs.synchronized {
     graphs.filterInPlace { case (c, _, _) => !c.isStopped }

@@ -10,9 +10,9 @@ import repro.graph.ProbGraph
   * reachable from a root set — exactly what Algorithm 2 of the paper needs.
   * The roots hang below a virtual root, dfn 0, so a seed set needs no §V
   * seed reduction: in every live-edge world each non-seed vertex has the
-  * same dominator subtree as in the reduced graph, whatever the triggering
-  * model. All internal state lives in DFS-number ("dfn") space, in a
-  * [[Workspace]] that one task reuses for all its samples, so a sample
+  * same dominator subtree as in that world blocked and then reduced to one
+  * unified seed. All internal state lives in DFS-number ("dfn") space, in
+  * a [[Workspace]] that one task reuses for all its samples, so a sample
   * costs time and allocation in proportion to what it reaches, not to n.
   */
 object DominatorTree {

@@ -3,7 +3,7 @@ package repro.imin
 import org.apache.spark.sql.SparkSession
 import repro.Execution
 import repro.graph.ProbGraph
-import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.sampling.DeltaEstimator
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -29,9 +29,8 @@ object AdvancedGreedy {
       seeds: Set[Int],
       b: Int,
       theta: Int,
-      masterSeed: Long,
-      model: TriggeringModel = TriggeringModel.IndependentCascade): Seq[Int] =
-    runWithCheckpoints(spark, g, seeds, Seq(b), theta, masterSeed, model)(b)
+      masterSeed: Long): Seq[Int] =
+    runWithCheckpoints(spark, g, seeds, Seq(b), theta, masterSeed)(b)
 
   /** Run AG once up to `budgets.max` and return the blocker prefix at every
     * requested budget (greedy selection is prefix-monotone, so one pass
@@ -43,10 +42,9 @@ object AdvancedGreedy {
       seeds: Set[Int],
       budgets: Seq[Int],
       theta: Int,
-      masterSeed: Long,
-      model: TriggeringModel = TriggeringModel.IndependentCascade): Map[Int, Seq[Int]] = {
+      masterSeed: Long): Map[Int, Seq[Int]] = {
     require(budgets.nonEmpty && budgets.forall(_ >= 1), "budgets must be positive")
-    select(Execution.cluster(spark, g, theta), g, seeds, budgets, theta, masterSeed, model)
+    select(Execution.cluster(spark, g, theta), g, seeds, budgets, theta, masterSeed)
   }
 
   /** AG's rounds on `g` from `seeds`, on the driver (`cluster = None`) or
@@ -58,8 +56,7 @@ object AdvancedGreedy {
       seeds: Set[Int],
       budgets: Seq[Int],
       theta: Int,
-      masterSeed: Long,
-      model: TriggeringModel): Map[Int, Seq[Int]] = {
+      masterSeed: Long): Map[Int, Seq[Int]] = {
     val b = budgets.max
     val roots = Blocking.rootsOf(g, seeds)
     val isSeed = Blocking.maskOf(g.n, roots)
@@ -70,7 +67,7 @@ object AdvancedGreedy {
     var exhausted = false
     while (i < b && !exhausted) {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val delta = DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed, model)
+      val delta = DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed)
       val x = Blocking.argmaxDelta(delta, v => !blocked(v) && !isSeed(v))
       if (x < 0 || delta(x) <= 0.0) exhausted = true // nothing left to gain
       else { blocked(x) = true; order += x }

@@ -13,14 +13,15 @@ import scala.collection.mutable.ArrayBuffer
   * vertex whose removal minimizes it. O(b·n·r·m) — this is the algorithm
   * AG beats by orders of magnitude while matching its choices.
   *
-  * All candidates in a round share the same `r` sampled worlds (common
-  * random numbers), which both reduces variance and makes BG's round-`i`
-  * choice comparable to AG's estimate semantics. What the candidates share
-  * is each world's live subgraph: a sweep walks a world once from the seed
-  * with the round's blockers, and keeps the live edges among the vertices
-  * it reaches ([[repro.spread.MonteCarloSpread.sweepSums]]). What stays per
-  * candidate is every traversal: each candidate × world is its own walk
-  * from the seed on that subgraph, as in Alg. 1.
+  * BG samples AG's worlds: the seeds are the roots and the blockers a mask
+  * on the original graph, and all candidates in a round share its `r`
+  * worlds (common random numbers). So with θ = r a candidate's decrease is
+  * r × its AG Δ (Theorem 6), and BG picks AG's blocker (§V-C). What the
+  * candidates share is each world's live subgraph: a sweep walks a world
+  * once from the seeds with the round's blockers, and keeps the live edges
+  * among the vertices it reaches ([[repro.spread.MonteCarloSpread.sweepSums]]).
+  * What stays per candidate is every traversal: each candidate × world is
+  * its own walk from the seeds on that subgraph, as in Alg. 1.
   */
 object BaselineGreedy {
 
@@ -36,26 +37,25 @@ object BaselineGreedy {
       r: Int,
       masterSeed: Long): Seq[Int] = {
     require(b >= 1 && r >= 1, "b and r must be positive")
-    val (red, notSeed) = Blocking.reduced(g, seeds)
-    val rg = red.graph
-    val roots = Array(red.superSeed)
-    val blocked = new Array[Boolean](rg.n)
+    val roots = Blocking.rootsOf(g, seeds)
+    val isSeed = Blocking.maskOf(g.n, roots)
+    val blocked = new Array[Boolean](g.n)
     val order = ArrayBuffer.empty[Int]
 
-    val support = Blocking.support(rg, roots)
+    val support = Blocking.support(g, roots)
 
     def candidatesLeft(): Array[Int] = {
       val left = Array.newBuilder[Int]
       var v = 0
-      while (v < rg.n) {
-        if (support(v) && !blocked(v) && notSeed(v)) left += v
+      while (v < g.n) {
+        if (support(v) && !blocked(v) && !isSeed(v)) left += v
         v += 1
       }
       left.result()
     }
     var candidates = candidatesLeft()
     // Later rounds sweep fewer candidates than the first.
-    val cluster = Execution.cluster(spark, rg, candidates.length.toDouble * r)
+    val cluster = Execution.cluster(spark, g, candidates.length.toDouble * r)
 
     var i = 0
     var exhausted = false
@@ -63,8 +63,8 @@ object BaselineGreedy {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
       if (candidates.isEmpty) exhausted = true
       else {
-        val base = MonteCarloSpread.reachSum(rg, roots, blocked, roundSeed, 0L, r)
-        val sums = sweep(cluster, rg, red.superSeed, blocked, candidates, r, roundSeed)
+        val base = MonteCarloSpread.reachSum(g, roots, blocked, roundSeed, 0L, r)
+        val sums = sweep(cluster, g, roots, blocked, candidates, r, roundSeed)
         // Max decrease == min spread; candidates ascend, so the first
         // minimum breaks ties by smallest id.
         var best = 0
@@ -93,13 +93,13 @@ object BaselineGreedy {
   private[repro] def sweep(
       cluster: Option[SparkSession],
       g: ProbGraph,
-      root: Int,
+      roots: Array[Int],
       blocked: Array[Boolean],
       candidates: Array[Int],
       r: Int,
       roundSeed: Long): Array[Long] =
-    Execution.run(cluster, g, (root, blocked, candidates), candidates.length) {
-      case (g, (root, blocked, candidates), from, until) =>
-        MonteCarloSpread.sweepSums(g, Array(root), blocked, candidates, 1, from.toInt, until.toInt, r, roundSeed)
+    Execution.run(cluster, g, (roots, blocked, candidates), candidates.length) {
+      case (g, (roots, blocked, candidates), from, until) =>
+        MonteCarloSpread.sweepSums(g, roots, blocked, candidates, 1, from.toInt, until.toInt, r, roundSeed)
     }(_ ++ _)
 }

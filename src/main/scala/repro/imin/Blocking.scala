@@ -1,6 +1,6 @@
 package repro.imin
 
-import repro.graph.{ProbGraph, SeedReduction}
+import repro.graph.ProbGraph
 import repro.sampling.GraphSampler
 
 /** Shared plumbing for the blocker-selection algorithms. */
@@ -40,15 +40,5 @@ object Blocking {
     require(seeds.nonEmpty, "seed set must be non-empty")
     seeds.foreach(s => require(s >= 0 && s < g.n, s"seed $s out of range"))
     seeds.toArray.sorted
-  }
-
-  /** Reduce to a single-seed instance (paper §V) and build the candidate
-    * filter: the unified seed and the (now isolated) original seeds are
-    * never blockable. Only BaselineGreedy still runs on the reduction.
-    */
-  def reduced(g: ProbGraph, seeds: Set[Int]): (SeedReduction.Reduced, Int => Boolean) = {
-    val red = SeedReduction.reduce(g, seeds)
-    val notSeed = (v: Int) => v != red.superSeed && !seeds.contains(v)
-    (red, notSeed)
   }
 }

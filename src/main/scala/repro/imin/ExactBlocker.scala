@@ -71,6 +71,9 @@ object ExactBlocker {
     * @return (optimal blocker set, its estimated spread under the fixed pool)
     * @throws ArithmeticException when `C(candidates, b)` exceeds the `Long`
     *                             range; nothing is evaluated then
+    * @throws IllegalArgumentException when `C(candidates, b)` × `thetaEval`
+    *                                  exceeds [[MaxSetWorlds]]; nothing is
+    *                                  evaluated then
     */
   def run(
       spark: SparkSession,
@@ -80,17 +83,25 @@ object ExactBlocker {
       thetaEval: Int,
       masterSeed: Long): (Seq[Int], Double) = {
     require(b >= 1 && thetaEval >= 1, "b and thetaEval must be positive")
-    val roots = seeds.toArray.sorted
+    val roots = Blocking.rootsOf(g, seeds)
     val support = Blocking.support(g, roots)
     val candidates = (0 until g.n).filter(v => support(v) && !seeds.contains(v)).toArray
     val bEff = math.min(b, candidates.length)
     require(bEff >= 1, "no blockable candidate is reachable from the seeds")
     val nCombos = choose(candidates.length, bEff)
+    require(nCombos <= MaxSetWorlds / thetaEval,
+      s"Exact search of C(${candidates.length}, $bEff) = $nCombos blocker sets × $thetaEval worlds exceeds $MaxSetWorlds")
     val cluster = Execution.cluster(spark, g, nCombos.toDouble * thetaEval)
     val (bestSum, bestIdx) = search(cluster, g, roots, candidates, bEff, thetaEval, masterSeed)
     val blockers = unrank(bestIdx, bEff).map(candidates(_)).toSeq
     (blockers, bestSum.toDouble / thetaEval)
   }
+
+  /** Largest search [[run]] accepts, in blocker sets × worlds: about 200×
+    * the largest one of Tables V/VI (`C(72, 4)` × 500 ≈ 5.1·10⁸). A larger
+    * search fails before it starts instead of running 200 times as long.
+    */
+  private val MaxSetWorlds = 100000000000L
 
   /** Blocker sets one sweep call evaluates: bounds a slice's set and sum
     * arrays, whatever its number of combinations.

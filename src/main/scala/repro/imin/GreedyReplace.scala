@@ -3,7 +3,7 @@ package repro.imin
 import org.apache.spark.sql.SparkSession
 import repro.Execution
 import repro.graph.ProbGraph
-import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.sampling.DeltaEstimator
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -30,10 +30,8 @@ object GreedyReplace {
       seeds: Set[Int],
       b: Int,
       theta: Int,
-      masterSeed: Long,
-      model: TriggeringModel = TriggeringModel.IndependentCascade): Seq[Int] = {
-    select(Execution.cluster(spark, g, theta), g, seeds, b, theta, masterSeed, model, replace = true)
-  }
+      masterSeed: Long): Seq[Int] =
+    select(Execution.cluster(spark, g, theta), g, seeds, b, theta, masterSeed, replace = true)
 
   /** Phase 1 only — the "OutNeighbors" heuristic of Example 3 / Table III:
     * greedily block up to `b` out-neighbors of the seed and stop.
@@ -44,10 +42,8 @@ object GreedyReplace {
       seeds: Set[Int],
       b: Int,
       theta: Int,
-      masterSeed: Long): Seq[Int] = {
-    select(Execution.cluster(spark, g, theta), g, seeds, b, theta, masterSeed,
-      TriggeringModel.IndependentCascade, replace = false)
-  }
+      masterSeed: Long): Seq[Int] =
+    select(Execution.cluster(spark, g, theta), g, seeds, b, theta, masterSeed, replace = false)
 
   /** Phase 1's candidate blockers (Line 1): the out-neighbors of the
     * unified seed, i.e. the non-seed targets of the seeds' `p > 0` edges.
@@ -69,14 +65,13 @@ object GreedyReplace {
       b: Int,
       theta: Int,
       masterSeed: Long,
-      model: TriggeringModel,
       replace: Boolean): Seq[Int] = {
     require(b >= 1, "budget must be positive")
     val roots = Blocking.rootsOf(g, seeds)
     val isSeed = Blocking.maskOf(g.n, roots)
 
     def deltasOf(blocked: Array[Boolean], roundSeed: Long): Array[Double] =
-      DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed, model)
+      DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed)
 
     val cb = seedOutNeighbors(g, seeds)
     val inCb = Blocking.maskOf(g.n, cb)

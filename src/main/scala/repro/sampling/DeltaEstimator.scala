@@ -41,9 +41,8 @@ object DeltaEstimator {
       blocked: Array[Boolean],
       sampleSeed: Long,
       acc: Array[Double],
-      ws: DominatorTree.Workspace,
-      model: TriggeringModel): Unit = {
-    DominatorTree.compute(g, roots, blocked, model.liveEdge(g, sampleSeed), ws)
+      ws: DominatorTree.Workspace): Unit = {
+    DominatorTree.compute(g, roots, blocked, GraphSampler.liveEdge(g, sampleSeed), ws)
     var i = 1 // dfn 0 is the virtual root
     while (i < ws.count) {
       acc(ws.vertexOf(i)) += ws.size(i)
@@ -87,15 +86,14 @@ object DeltaEstimator {
       roots: Array[Int],
       blocked: Array[Boolean],
       theta: Int,
-      masterSeed: Long,
-      model: TriggeringModel): Array[Double] = {
+      masterSeed: Long): Array[Double] = {
     require(theta >= 1, "theta must be positive")
     val parts = Execution.run(cluster, g, (roots, blocked), theta) { case (g, (roots, blocked), from, until) =>
       val acc = new Array[Double](g.n)
       val ws = new DominatorTree.Workspace(g.n)
       var i = from
       while (i < until) {
-        accumulateSample(g, roots, blocked, Rng.sampleSeed(masterSeed, i), acc, ws, model)
+        accumulateSample(g, roots, blocked, Rng.sampleSeed(masterSeed, i), acc, ws)
         i += 1
       }
       List(if (from == 0 && until == theta) (null, acc) else touched(acc))
@@ -118,9 +116,8 @@ object DeltaEstimator {
       g: ProbGraph,
       root: Int,
       theta: Int,
-      masterSeed: Long,
-      model: TriggeringModel = TriggeringModel.IndependentCascade): Array[Double] =
-    estimate(None, g, Array(root), null, theta, masterSeed, model)
+      masterSeed: Long): Array[Double] =
+    estimate(None, g, Array(root), null, theta, masterSeed)
 
   /** Estimate from a single root, fanned out over Spark. */
   def estimate(
@@ -128,7 +125,6 @@ object DeltaEstimator {
       g: ProbGraph,
       root: Int,
       theta: Int,
-      masterSeed: Long,
-      model: TriggeringModel = TriggeringModel.IndependentCascade): Array[Double] =
-    estimate(Some(spark), g, Array(root), null, theta, masterSeed, model)
+      masterSeed: Long): Array[Double] =
+    estimate(Some(spark), g, Array(root), null, theta, masterSeed)
 }

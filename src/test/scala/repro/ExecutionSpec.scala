@@ -8,7 +8,7 @@ import org.apache.spark.storage.BroadcastBlockId
 import repro.exp.Datasets
 import repro.graph.{ProbGraph, PropModels, SocialGraphGen}
 import repro.imin.BaselineGreedy
-import repro.sampling.{DeltaEstimator, TriggeringModel}
+import repro.sampling.DeltaEstimator
 import repro.spread.MonteCarloSpread
 import scala.collection.mutable
 
@@ -44,7 +44,7 @@ class ExecutionSpec extends SparkSpec {
   private def kernels(cluster: Option[SparkSession], g: ProbGraph, seed: Long): (Seq[Double], Double) = {
     val blocked = new Array[Boolean](g.n)
     blocked(2) = true
-    val delta = DeltaEstimator.estimate(cluster, g, Array(0, 1), blocked, 7, seed, TriggeringModel.IndependentCascade)
+    val delta = DeltaEstimator.estimate(cluster, g, Array(0, 1), blocked, 7, seed)
     (delta.toSeq, MonteCarloSpread.spread(cluster, g, Array(0, 1), 7, seed, blocked))
   }
 
@@ -97,7 +97,7 @@ class ExecutionSpec extends SparkSpec {
         val blocked = new Array[Boolean](g.n)
         blocked(j + 2) = true
         if (j % 2 == 0)
-          DeltaEstimator.estimate(Some(spark), g, Array(0, 1), blocked, 3, j, TriggeringModel.IndependentCascade)
+          DeltaEstimator.estimate(Some(spark), g, Array(0, 1), blocked, 3, j)
         else MonteCarloSpread.spread(Some(spark), g, Array(0, 1), 3, j, blocked)
         if (j < 4) kernels(Some(spark), others(j), j)
       }
@@ -137,9 +137,9 @@ class ExecutionSpec extends SparkSpec {
     val sc = spark.sparkContext
     val counts = Seq(1, sc.defaultParallelism - 1).filter(_ >= 1).distinct
     def deltaMcsSweep(cluster: Option[SparkSession], count: Int) = (
-      DeltaEstimator.estimate(cluster, g, Array(0, 1), blocked, count, 5L, TriggeringModel.IndependentCascade).toSeq,
+      DeltaEstimator.estimate(cluster, g, Array(0, 1), blocked, count, 5L).toSeq,
       MonteCarloSpread.spread(cluster, g, Array(0, 1), count, 5L, blocked),
-      BaselineGreedy.sweep(cluster, g, 0, blocked, candidates.take(count), 50, 5L).toSeq)
+      BaselineGreedy.sweep(cluster, g, Array(0, 1), blocked, candidates.take(count), 50, 5L).toSeq)
     val jobs = new JobStarts
     sc.addSparkListener(jobs)
     val onSpark =

@@ -2,7 +2,6 @@ package repro.imin
 
 import repro.SparkSpec
 import repro.graph.{ProbGraph, ToyGraph}
-import repro.sampling.TriggeringModel.IndependentCascade
 import repro.spread.ExactSpread
 
 class AdvancedGreedySpec extends SparkSpec {
@@ -29,8 +28,8 @@ class AdvancedGreedySpec extends SparkSpec {
   }
 
   test("distributed run gives the same blockers as local (same worlds)") {
-    val a = AdvancedGreedy.select(None, g, seeds, Seq(2), 1000, 3L, IndependentCascade)
-    val b = AdvancedGreedy.select(Some(spark), g, seeds, Seq(2), 1000, 3L, IndependentCascade)
+    val a = AdvancedGreedy.select(None, g, seeds, Seq(2), 1000, 3L)
+    val b = AdvancedGreedy.select(Some(spark), g, seeds, Seq(2), 1000, 3L)
     assert(a == b)
     assert(a(2) == AdvancedGreedy.run(spark, g, seeds, 2, 1000, 3L))
   }

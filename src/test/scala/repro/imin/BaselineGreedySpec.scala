@@ -49,19 +49,58 @@ class BaselineGreedySpec extends SparkSpec {
     assert(math.abs(sBg - sAg) < 0.1, s"bg=$bg ($sBg) ag=$ag ($sAg)")
   }
 
+  /** A random graph over `n` vertices whose probabilities are 0, 1 or in
+    * between, with an edge from one seed to another and one into a seed.
+    */
+  private def randomMultiSeed(rnd: scala.util.Random): (ProbGraph, Set[Int]) = {
+    val n = 4 + rnd.nextInt(12)
+    val seeds = Set.fill(2 + rnd.nextInt(2))(rnd.nextInt(n))
+    def p() = rnd.nextInt(3) match { case 0 => 0.0; case 1 => 1.0; case _ => rnd.nextDouble() }
+    val (s0, s1) = (seeds.min, seeds.max)
+    val intoSeed = ((s1 + 1) % n, s0, p())
+    val edges = Seq.fill(rnd.nextInt(3 * n))((rnd.nextInt(n), rnd.nextInt(n), p())) ++
+      Seq((s0, s1, p()), intoSeed)
+    (ProbGraph.fromEdges(n, edges.filter(e => e._1 != e._2)), seeds)
+  }
+
+  test("BG equals AG with theta = r on the same worlds (paper §V-C)") {
+    val rnd = new scala.util.Random(61)
+    var chosen = 0
+    for (trial <- 1 to 150) {
+      val (h, hSeeds) = randomMultiSeed(rnd)
+      val (b, r, masterSeed) = (1 + rnd.nextInt(4), 1 + rnd.nextInt(60), rnd.nextLong())
+      val bg = BaselineGreedy.run(spark, h, hSeeds, b, r, masterSeed)
+      val ag = AdvancedGreedy.run(spark, h, hSeeds, b, r, masterSeed)
+      assert(bg == ag, s"trial $trial: seeds=$hSeeds b=$b r=$r edges=${h.edgeTriples}")
+      chosen += bg.size
+    }
+    assert(chosen >= 150, s"only $chosen blockers chosen over 150 graphs")
+    val spec = Datasets.byName("Wiki-Vote")
+    for (model <- Seq("TR", "WC")) {
+      val h = Datasets.withModel(spec.graph, model, spec.seed)
+      val hSeeds = Datasets.randomSeeds(h, 10, 90L)
+      val bg = BaselineGreedy.run(spark, h, hSeeds, 3, 100, 81L)
+      assert(bg.size == 3 && bg == AdvancedGreedy.run(spark, h, hSeeds, 3, 100, 81L), s"$model: BG $bg")
+    }
+  }
+
   test("distributed BG equals local BG (same worlds)") {
-    // The sweep of every round of a run, from no blocker to all of them.
-    val order = BaselineGreedy.run(spark, g, seeds, 2, 1000, 6L)
-    val (red, notSeed) = Blocking.reduced(g, seeds)
-    for (i <- 0 to order.size) {
-      val blocked = Blocking.maskOf(red.graph.n, order.take(i))
-      val candidates = (0 until red.graph.n).filter(v => notSeed(v) && !blocked(v)).toArray
-      // One candidate leaves all but one of the job's slices empty.
-      for (cs <- Seq(candidates, candidates.take(1))) {
-        def sweep(cluster: Option[SparkSession]) =
-          BaselineGreedy.sweep(cluster, red.graph, red.superSeed, blocked, cs, 1000, 6L + i)
-        val (local, dist) = (sweep(None), sweep(Some(spark)))
-        assert(local.length == cs.length && local.sameElements(dist), s"round ${i + 1}, ${cs.length} candidates")
+    // The sweep of every round of a run, from no blocker to all of them, on
+    // the toy graph and on a multi-seed graph.
+    val (h, hSeeds) = randomMultiSeed(new scala.util.Random(62))
+    for ((graph, graphSeeds) <- Seq((g, seeds), (h, hSeeds))) {
+      val roots = Blocking.rootsOf(graph, graphSeeds)
+      val order = BaselineGreedy.run(spark, graph, graphSeeds, 2, 1000, 6L)
+      for (i <- 0 to order.size) {
+        val blocked = Blocking.maskOf(graph.n, order.take(i))
+        val candidates = (0 until graph.n).filter(v => !graphSeeds(v) && !blocked(v)).toArray
+        // One candidate leaves all but one of the job's slices empty.
+        for (cs <- Seq(candidates, candidates.take(1))) {
+          def sweep(cluster: Option[SparkSession]) =
+            BaselineGreedy.sweep(cluster, graph, roots, blocked, cs, 1000, 6L + i)
+          val (local, dist) = (sweep(None), sweep(Some(spark)))
+          assert(local.length == cs.length && local.sameElements(dist), s"round ${i + 1}, ${cs.length} candidates")
+        }
       }
     }
   }
@@ -73,10 +112,9 @@ class BaselineGreedySpec extends SparkSpec {
     val (b, r, masterSeed) = (3, 100, 81L)
     // Reference: Algorithm 1 with one mask copy and one r-world MCS per
     // candidate, each drawing its own coins.
-    val (red, notSeed) = Blocking.reduced(h, hSeeds)
-    val root = Array(red.superSeed)
-    val support = Blocking.support(red.graph, root)
-    val blocked = new Array[Boolean](red.graph.n)
+    val roots = Blocking.rootsOf(h, hSeeds)
+    val support = Blocking.support(h, roots)
+    val blocked = new Array[Boolean](h.n)
     val want = scala.collection.mutable.ArrayBuffer.empty[Int]
     var i = 0
     var exhausted = false
@@ -85,9 +123,9 @@ class BaselineGreedySpec extends SparkSpec {
       def spreadSum(extra: Int) = {
         val mask = blocked.clone()
         if (extra >= 0) mask(extra) = true
-        MonteCarloSpread.reachSum(red.graph, root, mask, roundSeed, 0L, r)
+        MonteCarloSpread.reachSum(h, roots, mask, roundSeed, 0L, r)
       }
-      val candidates = (0 until red.graph.n).filter(v => support(v) && !blocked(v) && notSeed(v))
+      val candidates = (0 until h.n).filter(v => support(v) && !blocked(v) && !hSeeds(v))
       if (candidates.isEmpty) exhausted = true
       else {
         val sums = candidates.map(u => u -> spreadSum(u)).toMap

@@ -169,12 +169,22 @@ class ExactBlockerSpec extends SparkSpec {
   }
 
   test("an Exact search with too many blocker sets is rejected before any Spark job") {
-    // A star with 70 blockable leaves: C(70, 35) ≈ 1.1e20 blocker sets.
-    val star = ProbGraph.fromEdges(71, (1 to 70).map(v => (0, v, 0.5)))
+    def star(leaves: Int) = ProbGraph.fromEdges(leaves + 1, (1 to leaves).map(v => (0, v, 0.5)))
     val sc = spark.sparkContext
     sc.setJobGroup("exact-oversized", "oversized Exact search")
-    try intercept[ArithmeticException](ExactBlocker.run(spark, star, Set(0), 35, 100, 1L))
-    finally sc.clearJobGroup()
+    try {
+      // 70 blockable leaves: C(70, 35) ≈ 1.1e20 blocker sets, past the Long range.
+      intercept[ArithmeticException](ExactBlocker.run(spark, star(70), Set(0), 35, 100, 1L))
+      // 72 leaves at b = 4: C(72, 4) = 1 028 790 sets, the largest search of
+      // Tables V/VI, but over 10⁵ worlds instead of 500: past the cap.
+      val tooLong = intercept[IllegalArgumentException](ExactBlocker.run(spark, star(72), Set(0), 4, 100000, 1L))
+      assert(tooLong.getMessage.contains("exceeds"), tooLong.getMessage)
+      // Seeds are checked like every other algorithm's.
+      val outOfRange = intercept[IllegalArgumentException](ExactBlocker.run(spark, star(3), Set(0, 9), 1, 100, 1L))
+      assert(outOfRange.getMessage.contains("seed 9 out of range"), outOfRange.getMessage)
+      val noSeed = intercept[IllegalArgumentException](ExactBlocker.run(spark, star(3), Set.empty, 1, 100, 1L))
+      assert(noSeed.getMessage.contains("seed set must be non-empty"), noSeed.getMessage)
+    } finally sc.clearJobGroup()
     assert(sc.statusTracker.getJobIdsForGroup("exact-oversized").isEmpty)
   }
 

@@ -2,7 +2,6 @@ package repro.imin
 
 import repro.SparkSpec
 import repro.graph.{ProbGraph, SeedReduction, ToyGraph}
-import repro.sampling.TriggeringModel.IndependentCascade
 import repro.spread.ExactSpread
 
 class GreedyReplaceSpec extends SparkSpec {
@@ -50,8 +49,8 @@ class GreedyReplaceSpec extends SparkSpec {
   }
 
   test("distributed run equals local run") {
-    val a = GreedyReplace.select(None, g, seeds, 2, 1000, 8L, IndependentCascade, replace = true)
-    val b = GreedyReplace.select(Some(spark), g, seeds, 2, 1000, 8L, IndependentCascade, replace = true)
+    val a = GreedyReplace.select(None, g, seeds, 2, 1000, 8L, replace = true)
+    val b = GreedyReplace.select(Some(spark), g, seeds, 2, 1000, 8L, replace = true)
     assert(a == b)
     assert(a == GreedyReplace.run(spark, g, seeds, 2, 1000, 8L))
   }

@@ -4,7 +4,6 @@ import repro.SparkSpec
 import repro.exp.Datasets
 import repro.graph.PropModels
 import repro.sampling.DeltaEstimator
-import repro.sampling.TriggeringModel.IndependentCascade
 import repro.spread.MonteCarloSpread
 
 /** End-to-end integration of the whole stack on generated dataset
@@ -54,15 +53,15 @@ class IminIntegrationSpec extends SparkSpec {
   }
 
   test("distributed AG equals local AG on a generated dataset") {
-    val a = AdvancedGreedy.select(None, gTR, seeds, Seq(3), 100, 6L, IndependentCascade)
-    val b = AdvancedGreedy.select(Some(spark), gTR, seeds, Seq(3), 100, 6L, IndependentCascade)
+    val a = AdvancedGreedy.select(None, gTR, seeds, Seq(3), 100, 6L)
+    val b = AdvancedGreedy.select(Some(spark), gTR, seeds, Seq(3), 100, 6L)
     assert(a == b)
     assert(a(3) == AdvancedGreedy.run(spark, gTR, seeds, 3, 100, 6L))
   }
 
   test("distributed GR equals local GR on a generated dataset") {
-    val a = GreedyReplace.select(None, gWC, seeds, 3, 100, 7L, IndependentCascade, replace = true)
-    val b = GreedyReplace.select(Some(spark), gWC, seeds, 3, 100, 7L, IndependentCascade, replace = true)
+    val a = GreedyReplace.select(None, gWC, seeds, 3, 100, 7L, replace = true)
+    val b = GreedyReplace.select(Some(spark), gWC, seeds, 3, 100, 7L, replace = true)
     assert(a == b)
     assert(a == GreedyReplace.run(spark, gWC, seeds, 3, 100, 7L))
   }
@@ -70,19 +69,13 @@ class IminIntegrationSpec extends SparkSpec {
   test("Theorem 5 empirically: estimation error shrinks as theta grows") {
     // Compare theta=50 vs theta=5000 estimates of the top blocker's delta
     // against a theta=50000 reference, all from the seeds on gWC itself.
-    def est(theta: Int, seed: Long) = DeltaEstimator.estimate(None, gWC, roots, null, theta, seed, IndependentCascade)
+    def est(theta: Int, seed: Long) = DeltaEstimator.estimate(None, gWC, roots, null, theta, seed)
     val ref = est(50000, 100L)
     val top = (0 until gWC.n).maxBy(ref)
     def err(theta: Int, seed: Long): Double = math.abs(est(theta, seed)(top) - ref(top))
     val coarse = (1 to 5).map(i => err(50, 200L + i)).sum / 5
     val fine = (1 to 5).map(i => err(5000, 300L + i)).sum / 5
     assert(fine < coarse, s"error theta=5000 ($fine) should be below theta=50 ($coarse)")
-  }
-
-  test("AG under the LT triggering model runs end-to-end (§V-E)") {
-    val b = AdvancedGreedy.run(spark, gWC, seeds, 3, 100, 8L,
-      model = repro.sampling.TriggeringModel.LinearThreshold)
-    assert(b.nonEmpty && b.forall(v => !seeds.contains(v)))
   }
 
   test("a blocked graph's AG never re-selects already blocked vertices") {

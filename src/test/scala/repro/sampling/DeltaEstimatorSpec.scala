@@ -39,8 +39,7 @@ class DeltaEstimatorSpec extends SparkSpec {
       val h = ProbGraph.fromEdges(n, edges)
       val sampleSeed = Rng.sampleSeed(100L + trial, 0L)
       val acc = new Array[Double](n)
-      DeltaEstimator.accumulateSample(h, Array(0), null, sampleSeed, acc, new DominatorTree.Workspace(n),
-        TriggeringModel.IndependentCascade)
+      DeltaEstimator.accumulateSample(h, Array(0), null, sampleSeed, acc, new DominatorTree.Workspace(n))
       val full = GraphSampler.reachCount(h, Array(0), sampleSeed)
       for (u <- 1 until n) {
         val blocked = new Array[Boolean](n); blocked(u) = true
@@ -80,7 +79,7 @@ class DeltaEstimatorSpec extends SparkSpec {
     val blocked = new Array[Boolean](g.n)
     blocked(ToyGraph.seed) = true
     for (cluster <- Seq(None, Some(spark))) {
-      val delta = DeltaEstimator.estimate(cluster, g, Array(ToyGraph.seed), blocked, 50, 7L, TriggeringModel.IndependentCascade)
+      val delta = DeltaEstimator.estimate(cluster, g, Array(ToyGraph.seed), blocked, 50, 7L)
       assert(delta.forall(_ == 0.0), s"cluster=$cluster")
     }
   }
@@ -94,7 +93,7 @@ class DeltaEstimatorSpec extends SparkSpec {
     for (blockers <- Seq(Seq.empty[Int], Seq(3))) {
       val mask = new Array[Boolean](h.n)
       blockers.foreach(mask(_) = true)
-      val delta = DeltaEstimator.estimate(None, h, seeds, mask, 60000, 11L, TriggeringModel.IndependentCascade)
+      val delta = DeltaEstimator.estimate(None, h, seeds, mask, 60000, 11L)
       val base = ExactSpread.spreadWithBlockers(h, seeds, blockers)
       for (u <- 2 until 6 if !blockers.contains(u)) {
         val exact = base - ExactSpread.spreadWithBlockers(h, seeds, u +: blockers)
