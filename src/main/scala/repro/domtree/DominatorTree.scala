@@ -17,18 +17,23 @@ import repro.graph.ProbGraph
   */
 object DominatorTree {
 
-  /** The reusable state of [[compute]] for graphs of `n` vertices. Only
-    * `dfn` has n entries; every other array grows with the reach of the
-    * largest sample so far. After a call, entries `0 until count` of
-    * `vertexOf`, `idom` and `size` describe its tree, dfn 0 being the
-    * virtual root; `dfn` is back to −1 everywhere.
+  /** The reusable state of [[walk]] and [[compute]] for graphs of `n`
+    * vertices. Only `dfn` has n entries; every other array grows with the
+    * largest reach so far. After a walk, `dfn` numbers the reached vertices
+    * until [[Workspace.reset]], entries `0 until count` of `vertexOf` map
+    * dfns back, and entries `0 until edges` of `edgeSrc`/`edgeDst` are the
+    * live edges met, as dfn pairs. After [[compute]], `idom` and `size`
+    * describe its tree too, and `dfn` is back to −1 everywhere.
     */
   final class Workspace(val n: Int) {
     private[repro] val dfn: Array[Int] = Array.fill(n)(-1)
     /** dfns in use by the last sample, the virtual root included. */
     private[repro] var count = 0
+    private[repro] var edges = 0
     /** Original vertex of each dfn; −1 for the virtual root. */
     private[repro] var vertexOf = new Array[Int](16)
+    private[repro] var edgeSrc = new Array[Int](16)
+    private[repro] var edgeDst = new Array[Int](16)
     /** Immediate dominator in dfn space; `idom(0) == 0`. */
     private[repro] var idom = new Array[Int](16)
     /** Dominator-subtree size of each dfn (Theorem 6: σ→u). */
@@ -37,9 +42,6 @@ object DominatorTree {
     private[domtree] var parent = new Array[Int](16)
     private[domtree] var stackV = new Array[Int](16)
     private[domtree] var stackE = new Array[Int](16)
-    // Live edges met by the DFS, as (source dfn, target dfn) pairs.
-    private[domtree] var edgeSrc = new Array[Int](16)
-    private[domtree] var edgeDst = new Array[Int](16)
     private[domtree] var predOff = new Array[Int](17)
     private[domtree] var predSrc = new Array[Int](16)
     private[domtree] var semi = new Array[Int](16)
@@ -62,18 +64,24 @@ object DominatorTree {
       }
       if (predSrc.length < ne) predSrc = new Array[Int](math.max(ne, 2 * predSrc.length))
     }
+
+    /** Set `dfn` back to −1, touching only the vertices the last walk reached. */
+    def reset(): Unit = {
+      var i = 1
+      while (i < count) { dfn(vertexOf(i)) = -1; i += 1 }
+    }
   }
 
   private def grown(a: Array[Int]): Array[Int] = java.util.Arrays.copyOf(a, 2 * a.length)
 
-  /** The one dominator-tree kernel. Computes, into `ws`, the dominator tree
-    * of the subgraph of `g` whose edges satisfy `keepEdge`, restricted to
-    * the vertices reachable from a virtual root whose children are the
-    * unblocked `roots`. It never enters a `blocked` vertex (null: none)
-    * and asks `keepEdge` at most once per edge: only about the out-edges of
-    * reached vertices into unblocked ones.
+  /** The one walk of a sampled world: an iterative DFS, into `ws`, from a
+    * virtual root whose children are the unblocked `roots`, over the edges
+    * of `g` that satisfy `keepEdge`. It never enters a `blocked` vertex
+    * (null: none), asks `keepEdge` at most once per edge (only about the
+    * out-edges of reached vertices into unblocked ones) and records every
+    * live edge it meets. The caller resets `ws` when done with its `dfn`.
     */
-  def compute(
+  def walk(
       g: ProbGraph,
       roots: Array[Int],
       blocked: Array[Boolean],
@@ -83,10 +91,6 @@ object DominatorTree {
     val offsets = g.offsets
     val targets = g.targets
     val dfn = ws.dfn
-
-    // --- Step 1: iterative DFS numbering from the virtual root --------------
-    // Every live edge met is recorded, so the predecessor lists need no
-    // second pass over the edges.
     var vertexOf = ws.vertexOf
     var parent = ws.parent
     var stackV = ws.stackV
@@ -140,23 +144,45 @@ object DominatorTree {
     }
     ws.vertexOf = vertexOf; ws.parent = parent; ws.stackV = stackV; ws.stackE = stackE
     ws.edgeSrc = edgeSrc; ws.edgeDst = edgeDst
-    ws.fit(cnt, ne)
+    ws.count = cnt; ws.edges = ne
+  }
 
-    // --- Predecessor lists in dfn space (counting sort of the live edges) ---
-    val predOff = ws.predOff
-    val predSrc = ws.predSrc
-    java.util.Arrays.fill(predOff, 0, cnt + 1, 0)
+  /** Counting sort of the walk's edge pairs `(keys(k), vals(k))`, `k < ne`,
+    * by key into rows over `0 until cnt`: row d is `out(off(d) until
+    * off(d + 1))`. `off` needs `cnt + 1` entries and `out` `ne`.
+    */
+  private[repro] def rows(keys: Array[Int], vals: Array[Int], ne: Int, cnt: Int, off: Array[Int], out: Array[Int]): Unit = {
+    java.util.Arrays.fill(off, 0, cnt + 1, 0)
     var k = 0
-    while (k < ne) { predOff(edgeDst(k)) += 1; k += 1 }
+    while (k < ne) { off(keys(k)) += 1; k += 1 }
     var i = 1
-    while (i < cnt) { predOff(i) += predOff(i - 1); i += 1 }
+    while (i < cnt) { off(i) += off(i - 1); i += 1 }
     k = 0
     while (k < ne) {
-      val d = edgeDst(k)
-      predOff(d) -= 1; predSrc(predOff(d)) = edgeSrc(k)
+      val d = keys(k)
+      off(d) -= 1; out(off(d)) = vals(k)
       k += 1
     }
-    predOff(cnt) = ne
+    off(cnt) = ne
+  }
+
+  /** The one dominator-tree kernel. Computes, into `ws`, the dominator tree
+    * of the part of the world that [[walk]] reaches from `roots`, never
+    * entering a `blocked` vertex.
+    */
+  def compute(
+      g: ProbGraph,
+      roots: Array[Int],
+      blocked: Array[Boolean],
+      keepEdge: Int => Boolean,
+      ws: Workspace): Unit = {
+    walk(g, roots, blocked, keepEdge, ws)
+    val cnt = ws.count
+    val parent = ws.parent
+    ws.fit(cnt, ws.edges)
+    val predOff = ws.predOff
+    val predSrc = ws.predSrc
+    rows(ws.edgeDst, ws.edgeSrc, ws.edges, cnt, predOff, predSrc) // predecessor lists in dfn space
 
     // --- Steps 2-4: Lengauer-Tarjan with path compression -------------------
     val semi = ws.semi
@@ -166,7 +192,7 @@ object DominatorTree {
     val bucketHead = ws.bucketHead
     val bucketNext = ws.bucketNext
     val chain = ws.chain
-    i = 0
+    var i = 0
     while (i < cnt) {
       semi(i) = i; label(i) = i; ancestor(i) = -1; bucketHead(i) = -1
       i += 1
@@ -229,10 +255,7 @@ object DominatorTree {
     w = cnt - 1
     while (w >= 1) { size(dom(w)) += size(w); w -= 1 }
 
-    // Leave dfn as it was found, touching only the reached vertices.
-    i = 1
-    while (i < cnt) { dfn(vertexOf(i)) = -1; i += 1 }
-    ws.count = cnt
+    ws.reset()
   }
 
   /** Dominator tree of one (sampled) graph from a single root.
@@ -297,40 +320,5 @@ object DominatorTree {
       d += 1
     }
     new Result(count, vertexOf, dfnOf, idomDfn)
-  }
-
-  /** O(n·m) brute-force immediate dominators, for verification: `u`
-    * dominates `v` iff `v` is unreachable from `root` once `u` is removed;
-    * the immediate dominator is the deepest proper dominator.
-    * Returns idom per original vertex id (root -> root, unreachable -> -1).
-    */
-  def bruteForceIdoms(g: ProbGraph, root: Int, keepEdge: Int => Boolean = _ => true): Array[Int] = {
-    def reach(skip: Int): Array[Boolean] = {
-      val vis = new Array[Boolean](g.n)
-      if (root == skip) return vis
-      val stack = new java.util.ArrayDeque[Integer]()
-      vis(root) = true; stack.push(root)
-      while (!stack.isEmpty) {
-        val u = stack.pop().intValue()
-        g.foreachOut(u) { (e, v, _) =>
-          if (keepEdge(e) && v != skip && !vis(v)) { vis(v) = true; stack.push(v) }
-        }
-      }
-      vis
-    }
-    val base = reach(-1)
-    val doms = Array.fill(g.n)(Set.empty[Int])
-    for (v <- 0 until g.n if base(v)) doms(v) = Set(v)
-    for (u <- 0 until g.n if base(u)) {
-      val without = reach(u)
-      for (v <- 0 until g.n if base(v) && !without(v)) doms(v) += u
-    }
-    val idom = Array.fill(g.n)(-1)
-    idom(root) = root
-    for (v <- 0 until g.n if base(v) && v != root) {
-      val proper = doms(v) - v
-      idom(v) = proper.maxBy(d => doms(d).size) // dominators form a chain
-    }
-    idom
   }
 }

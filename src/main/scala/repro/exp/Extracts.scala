@@ -18,7 +18,6 @@ object Extracts {
     */
   def neighborhoodExtract(g: ProbGraph, targetN: Int, seed: Long): (ProbGraph, Map[Int, Int]) = {
     val rnd = new Random(seed)
-    val rev = g.reverse
     val chosen = mutable.LinkedHashSet.empty[Int]
     val queue = mutable.ArrayBuffer.empty[Int]
 
@@ -30,7 +29,7 @@ object Extracts {
         if (queue.nonEmpty) queue.remove(rnd.nextInt(queue.size))
         else { val v = rnd.nextInt(g.n); absorb(v); v }
       g.outNeighbors(pivot).foreach(absorb)
-      rev.outNeighbors(pivot).foreach(absorb)
+      for (u <- 0 until g.n; v <- g.outNeighbors(u) if v == pivot) absorb(u)
     }
     val ids = chosen.toIndexedSeq
     val map = ids.zipWithIndex.toMap

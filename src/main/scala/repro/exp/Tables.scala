@@ -22,15 +22,15 @@ object Tables {
   /** Greedy / OutNeighbors / GreedyReplace on the Figure-1 toy graph at
     * b = 1, 2; spreads are computed *exactly* (3 uncertain edges).
     */
-  def tableIII(spark: SparkSession, theta: Int = 20000, seed: Long = 7L): Seq[T3Row] = {
+  def tableIII(spark: SparkSession, theta: Int = 20000): Seq[T3Row] = {
     val g = ToyGraph.graph
     val seeds = Set(ToyGraph.seed)
     def name(v: Int) = s"v${v + 1}"
     def exact(blockers: Seq[Int]): Double = ExactSpread.spreadWithBlockers(g, Array(ToyGraph.seed), blockers)
     (for (b <- Seq(1, 2)) yield {
-      val greedy = AdvancedGreedy.run(spark, g, seeds, b, theta, seed)
-      val outN = GreedyReplace.outNeighborsOnly(spark, g, seeds, b, theta, seed)
-      val gr = GreedyReplace.run(spark, g, seeds, b, theta, seed)
+      val greedy = AdvancedGreedy.run(spark, g, seeds, b, theta, 7L)
+      val outN = GreedyReplace.outNeighborsOnly(spark, g, seeds, b, theta, 7L)
+      val gr = GreedyReplace.run(spark, g, seeds, b, theta, 7L)
       Seq(
         T3Row("Greedy", b, greedy.map(name), exact(greedy)),
         T3Row("OutNeighbors", b, outN.map(name), exact(outN)),
@@ -83,36 +83,30 @@ object Tables {
       exactSecs: Double,
       grSecs: Double)
 
-  /** Exact vs GR on neighborhood extracts of the EmailCore substitute under
-    * `model` ("TR" → Table V, "WC" → Table VI). Both sides are evaluated on
-    * the same fixed pool of `thetaEval` sampled worlds (common random
+  /** Exact vs GR on 3 neighborhood extracts of about 30 vertices and 5
+    * seeds of the EmailCore substitute under `model` ("TR" → Table V, "WC"
+    * → Table VI), at b = 1 to 4. GR selects on 300 worlds; both sides are
+    * evaluated on the same fixed pool of 500 sampled worlds (common random
     * numbers), mirroring the paper's exact-spread comparison.
     */
-  def tableExactVsGR(
-      spark: SparkSession,
-      model: String,
-      budgets: Seq[Int] = 1 to 4,
-      nExtracts: Int = 3,
-      targetN: Int = 30,
-      nSeeds: Int = 5,
-      thetaSel: Int = 300,
-      thetaEval: Int = 500,
-      masterSeed: Long = 42L): Seq[ExactRow] = {
+  def tableExactVsGR(spark: SparkSession, model: String): Seq[ExactRow] = {
+    val thetaEval = 500
+    val masterSeed = 42L
     val spec = Datasets.byName("EmailCore")
     val base = Datasets.withModel(spec.graph, model, spec.seed)
-    val extracts = (1 to nExtracts).map { i =>
-      val (sub, _) = Extracts.neighborhoodExtract(base, targetN, masterSeed + i)
-      val seeds = Datasets.randomSeeds(sub, nSeeds, masterSeed + 100 + i)
+    val extracts = (1 to 3).map { i =>
+      val (sub, _) = Extracts.neighborhoodExtract(base, 30, masterSeed + i)
+      val seeds = Datasets.randomSeeds(sub, 5, masterSeed + 100 + i)
       (sub, seeds)
     }
-    budgets.map { b =>
+    (1 to 4).map { b =>
       var exS, grS, exT, grT = 0.0
       for (((sub, seeds), i) <- extracts.zipWithIndex) {
         val evalSeed = Rng.splitmix64(masterSeed + 1000 + i)
         val ((_, exSpread), exSecs) =
           Fmt.timed(ExactBlocker.run(spark, sub, seeds, b, thetaEval, evalSeed))
         val (grBlockers, grSecs) =
-          Fmt.timed(GreedyReplace.run(spark, sub, seeds, b, thetaSel,
+          Fmt.timed(GreedyReplace.run(spark, sub, seeds, b, 300,
             Rng.splitmix64(masterSeed + 2000 + i)))
         val grSpread = MonteCarloSpread.spreadWithBlockers(
           spark, sub, seeds.toArray.sorted, grBlockers, thetaEval, evalSeed)
@@ -130,33 +124,31 @@ object Tables {
   final case class T7Row(dataset: String, b: Int, ra: Double, od: Double, ag: Double, gr: Double)
 
   /** One dataset's Table-VII column block under `model`: expected spread of
-    * the four heuristics at every budget, evaluated with MCS on common
-    * sampled worlds. Every step runs on the driver or over Spark as
-    * [[repro.Execution]] decides from its size.
+    * the four heuristics at every budget, AG and GR selecting on 100 worlds,
+    * evaluated with MCS on 1 000 common sampled worlds. Every step runs on
+    * the driver or over Spark as [[repro.Execution]] decides from its size.
     */
   def tableVIIFor(
       spark: SparkSession,
       spec: DatasetSpec,
       model: String,
       budgets: Seq[Int] = Seq(20, 40, 60, 80, 100),
-      nSeeds: Int = 10,
-      thetaSel: Int = 100,
-      rEval: Int = 1000,
-      masterSeed: Long = 77L): Seq[T7Row] = {
+      nSeeds: Int = 10): Seq[T7Row] = {
+    val masterSeed = 77L
     val g = Datasets.withModel(spec.graph, model, spec.seed)
     val seeds = Datasets.randomSeeds(g, nSeeds, masterSeed + spec.seed)
     val roots = seeds.toArray.sorted
     val evalSeed = Rng.splitmix64(masterSeed ^ spec.seed)
 
     def eval(blockers: Seq[Int]): Double =
-      MonteCarloSpread.spreadWithBlockers(spark, g, roots, blockers, rEval, evalSeed)
+      MonteCarloSpread.spreadWithBlockers(spark, g, roots, blockers, 1000, evalSeed)
 
     val agByBudget = AdvancedGreedy.runWithCheckpoints(
-      spark, g, seeds, budgets, thetaSel, masterSeed + 1)
+      spark, g, seeds, budgets, 100, masterSeed + 1)
     budgets.map { b =>
       val ra = Heuristics.rand(g, seeds, b, masterSeed + 2)
       val od = Heuristics.outDegree(g, seeds, b)
-      val gr = GreedyReplace.run(spark, g, seeds, b, thetaSel, masterSeed + 3)
+      val gr = GreedyReplace.run(spark, g, seeds, b, 100, masterSeed + 3)
       T7Row(spec.name, b, eval(ra), eval(od), eval(agByBudget(b)), eval(gr))
     }
   }

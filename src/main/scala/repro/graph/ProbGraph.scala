@@ -38,13 +38,6 @@ final class ProbGraph private[graph] (
   def outNeighbors(u: Int): IndexedSeq[Int] =
     (offsets(u) until offsets(u + 1)).map(targets)
 
-  /** Apply `f(edgeIdx, target, prob)` to every out-edge of `u`. */
-  @inline def foreachOut(u: Int)(f: (Int, Int, Double) => Unit): Unit = {
-    var e = offsets(u)
-    val end = offsets(u + 1)
-    while (e < end) { f(e, targets(e), probs(e)); e += 1 }
-  }
-
   /** In-degree of every vertex (computed once, cached). */
   lazy val inDegrees: Array[Int] = {
     val d = new Array[Int](n)
@@ -57,10 +50,6 @@ final class ProbGraph private[graph] (
   def edgeTriples: IndexedSeq[(Int, Int, Double)] =
     for { u <- 0 until n; e <- offsets(u) until offsets(u + 1) }
       yield (u, targets(e), probs(e))
-
-  /** The reverse graph (every edge flipped, probabilities preserved). */
-  def reverse: ProbGraph =
-    ProbGraph.fromEdges(n, edgeTriples.map { case (u, v, p) => (v, u, p) })
 
   /** The graph after blocking `blocked` vertices: every edge incident to a
     * blocked vertex is removed (Definition 2 sets incoming probabilities to

@@ -7,7 +7,7 @@ import scala.util.Random
   *
   * The image is offline, so the paper's 8 SNAP datasets are substituted with
   * deterministic Chung–Lu-style power-law graphs: endpoint `i` of each edge
-  * is drawn with weight `(i+1)^(-gamma)` through a shuffled id permutation
+  * is drawn with weight `1/(i+1)` through a shuffled id permutation
   * (so the hubs are not the low ids), self-loops and duplicate edges are
   * rejected. Directedness is preserved (an undirected dataset becomes both
   * directions of every sampled pair, as the paper does). The generators are
@@ -17,10 +17,12 @@ import scala.util.Random
 object SocialGraphGen {
 
   /** Power-law endpoint sampler: cumulative weights + binary search. */
-  private final class ZipfSampler(n: Int, gamma: Double, perm: Array[Int]) {
+  private final class ZipfSampler(n: Int, perm: Array[Int]) {
     private val cum = new Array[Double](n)
     private var acc = 0.0
-    for (i <- 0 until n) { acc += math.pow(i + 1.0, -gamma); cum(i) = acc }
+    // pow, not a division: 1.0 / (i + 1) differs from it in the last bit
+    // for some i, which would move draws and so change every dataset.
+    for (i <- 0 until n) { acc += math.pow(i + 1.0, -1.0); cum(i) = acc }
 
     def draw(rnd: Random): Int = {
       val x = rnd.nextDouble() * acc
@@ -37,17 +39,14 @@ object SocialGraphGen {
     * distinct edges; for `directed = false` each sampled pair contributes
     * both directions (so the returned graph has up to `2 * mEdges` directed
     * edges). All probabilities are 1.0 — assign a model with [[PropModels]].
-    *
-    * @param gamma power-law exponent of the endpoint weight (≈2.0 gives the
-    *              heavy-tailed degree skew of real social networks)
     */
-  def powerLaw(n: Int, mEdges: Int, directed: Boolean, seed: Long, gamma: Double = 1.0): ProbGraph = {
+  def powerLaw(n: Int, mEdges: Int, directed: Boolean, seed: Long): ProbGraph = {
     require(n >= 2, "need at least 2 vertices")
     val rnd = new Random(seed)
     val permSrc = rnd.shuffle((0 until n).toVector).toArray
     val permDst = rnd.shuffle((0 until n).toVector).toArray
-    val srcSampler = new ZipfSampler(n, gamma, permSrc)
-    val dstSampler = new ZipfSampler(n, gamma, permDst)
+    val srcSampler = new ZipfSampler(n, permSrc)
+    val dstSampler = new ZipfSampler(n, permDst)
 
     val seen = mutable.HashSet.empty[Long]
     val edges = mutable.ArrayBuffer.empty[(Int, Int, Double)]

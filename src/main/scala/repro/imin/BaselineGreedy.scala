@@ -2,6 +2,7 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.Execution
+import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.spread.MonteCarloSpread
 import repro.util.Rng
@@ -100,6 +101,7 @@ object BaselineGreedy {
       roundSeed: Long): Array[Long] =
     Execution.run(cluster, g, (roots, blocked, candidates), candidates.length) {
       case (g, (roots, blocked, candidates), from, until) =>
-        MonteCarloSpread.sweepSums(g, roots, blocked, candidates, 1, from.toInt, until.toInt, r, roundSeed)
+        MonteCarloSpread.sweepSums(g, roots, blocked, candidates, 1, from.toInt, until.toInt, r, roundSeed,
+          new DominatorTree.Workspace(g.n))
     }(_ ++ _)
 }

@@ -2,6 +2,7 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.Execution
+import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.spread.MonteCarloSpread
 
@@ -130,6 +131,7 @@ object ExactBlocker {
       case (g, (roots, candidates), from, until) =>
         val pos = unrank(from, b)
         val sets = new Array[Int](Chunk * b)
+        val ws = new DominatorTree.Workspace(g.n)
         var best = (Long.MaxValue, -1L)
         var idx = from
         while (idx < until) {
@@ -141,7 +143,7 @@ object ExactBlocker {
             nextCombination(pos)
             s += 1
           }
-          val sums = MonteCarloSpread.sweepSums(g, roots, null, sets, b, 0, k, thetaEval, masterSeed)
+          val sums = MonteCarloSpread.sweepSums(g, roots, null, sets, b, 0, k, thetaEval, masterSeed, ws)
           s = 0
           while (s < k) {
             if (sums(s) < best._1) best = (sums(s), idx + s) // ids ascend: a tie keeps the smaller index

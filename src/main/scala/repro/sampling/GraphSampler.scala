@@ -19,9 +19,10 @@ object GraphSampler {
   def edgeMask(g: ProbGraph, sampleSeed: Long): Array[Boolean] =
     Array.tabulate(g.m)(liveEdge(g, sampleSeed))
 
-  /** The reachability kernel of one world, which MCS, exact spread and the
-    * candidate support run on (BG's and Exact's sweeps walk each world's
-    * live subgraph instead, `MonteCarloSpread.sweepSums`): marks in
+  /** The count-only reachability kernel of one world, which MCS, exact
+    * spread and the candidate support run on. Dominator trees and BG's and
+    * Exact's sweeps build a world with `DominatorTree.walk` instead, which
+    * draws the coins of edges into reached vertices too. `reach` marks in
     * `vis` each vertex reachable from `roots` over edges satisfying
     * `keepEdge`, never entering a `blocked` vertex (null: none; a blocked
     * root counts as unreached), and returns how many vertices it marked.

@@ -2,6 +2,7 @@ package repro.spread
 
 import org.apache.spark.sql.SparkSession
 import repro.Execution
+import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.sampling.GraphSampler
 import repro.util.Rng
@@ -40,19 +41,19 @@ object MonteCarloSpread {
     * until` — set `i` is `sets(i * stride until (i + 1) * stride)` — the
     * total reach count of `roots` over the `r` worlds keyed by `masterSeed`
     * with `blocked` (null: none) and the set's members blocked, in set
-    * order.
+    * order, on the reusable workspace `ws`.
     *
-    * Worlds run one at a time. A world's first walk, from the roots with
-    * `blocked` alone, finds its base reach R: it numbers R's vertices
-    * 0 until |R| (in `local`, an n-sized array reset only on R) and records
-    * the world's live edges among them as a compact CSR, drawing each
-    * edge's coin there, once. Blocking more vertices only shrinks a reach,
-    * so every set's reach lies in R, and each set × world is then its own
-    * walk on that CSR: the set's members are pre-marked in an epoch-stamped
-    * `vis` and never entered, with no per-walk fill and no coin test. It
-    * counts exactly what a walk of the whole world with the set added to
-    * `blocked` counts. A member outside R (blocked, unreached or off the
-    * support) changes nothing; a member that is a root leaves it unreached.
+    * Worlds run one at a time. [[DominatorTree.walk]] from the roots with
+    * `blocked` alone finds a world's base reach R, drawing each edge's coin
+    * once, and records its live edges, which a counting sort by source
+    * turns into a compact CSR over R's dfns. Blocking more vertices only
+    * shrinks a reach, so every set's reach lies in R, and each set × world
+    * is then its own walk on that CSR from the virtual root: the set's
+    * members are pre-marked through `dfn` in an epoch-stamped `vis` and
+    * never entered, with no per-walk fill and no coin test. It counts
+    * exactly what a walk of the whole world with the set added to `blocked`
+    * counts. A member outside R (blocked, unreached or off the support)
+    * changes nothing; a member that is a root leaves it unreached.
     */
   def sweepSums(
       g: ProbGraph,
@@ -63,82 +64,43 @@ object MonteCarloSpread {
       from: Int,
       until: Int,
       r: Int,
-      masterSeed: Long): Array[Long] = {
+      masterSeed: Long,
+      ws: DominatorTree.Workspace): Array[Long] = {
     val sums = new Array[Long](until - from)
-    val offsets = g.offsets
-    val targets = g.targets
-    val probs = g.probs
-    val local = new Array[Int](g.n)
-    java.util.Arrays.fill(local, -1)
-    // R's vertices by local id, which the base walk visits in that order
-    // (breadth-first), so its live edges fill the CSR row by row.
-    var verts = new Array[Int](16)
-    var off = new Array[Int](16) // row u of the CSR is edges(off(u) until off(u + 1))
-    var edges = new Array[Int](16)
+    val dfn = ws.dfn
+    // Row u of the world's CSR is adj(off(u) until off(u + 1)), u a dfn.
+    var off = new Array[Int](17)
+    var adj = new Array[Int](16)
     var vis = new Array[Int](16)
     var stack = new Array[Int](16)
-    val rootIds = new Array[Int](roots.length)
-    var w = 0
-    while (w < r) {
-      val sampleSeed = Rng.sampleSeed(masterSeed, w)
-      var size = 0
-      var nRoots = 0
-      var i = 0
-      while (i < roots.length) {
-        val v = roots(i)
-        if (local(v) < 0 && (blocked == null || !blocked(v))) {
-          if (size + 1 == verts.length) { verts = grow(verts); off = grow(off) }
-          local(v) = size; verts(size) = v; rootIds(nRoots) = size
-          size += 1; nRoots += 1
-        }
-        i += 1
-      }
-      var nEdges = 0
-      var head = 0
-      while (head < size) {
-        off(head) = nEdges
-        var e = offsets(verts(head))
-        val end = offsets(verts(head) + 1)
-        while (e < end) {
-          val v = targets(e)
-          if ((blocked == null || !blocked(v)) && Rng.edgeKeep(sampleSeed, e, probs(e))) {
-            if (local(v) < 0) {
-              if (size + 1 == verts.length) { verts = grow(verts); off = grow(off) }
-              local(v) = size; verts(size) = v; size += 1
-            }
-            if (nEdges == edges.length) edges = grow(edges)
-            edges(nEdges) = local(v); nEdges += 1
-          }
-          e += 1
-        }
-        head += 1
-      }
-      off(size) = nEdges
-      if (vis.length < size) { vis = new Array[Int](verts.length); stack = new Array[Int](verts.length) }
-      else java.util.Arrays.fill(vis, 0, size, 0)
+    var world = 0
+    while (world < r) {
+      DominatorTree.walk(g, roots, blocked, GraphSampler.liveEdge(g, Rng.sampleSeed(masterSeed, world)), ws)
+      val size = ws.count
+      if (vis.length < size) {
+        val c = math.max(size, 2 * vis.length)
+        off = new Array[Int](c + 1); vis = new Array[Int](c); stack = new Array[Int](c)
+      } else java.util.Arrays.fill(vis, 0, size, 0)
+      if (adj.length < ws.edges) adj = new Array[Int](math.max(ws.edges, 2 * adj.length))
+      DominatorTree.rows(ws.edgeSrc, ws.edgeDst, ws.edges, size, off, adj)
       var s = from
       while (s < until) {
         val epoch = s - from + 1
         var j = s * stride
         while (j < (s + 1) * stride) {
-          val u = local(sets(j))
+          val u = dfn(sets(j))
           if (u >= 0) vis(u) = epoch
           j += 1
         }
-        var sp = 0
-        i = 0
-        while (i < nRoots) {
-          val u = rootIds(i)
-          if (vis(u) != epoch) { vis(u) = epoch; stack(sp) = u; sp += 1 }
-          i += 1
-        }
-        var count = sp
+        vis(0) = epoch; stack(0) = 0
+        var sp = 1
+        var count = 0
         while (sp > 0) {
           sp -= 1
           val u = stack(sp)
           var e = off(u)
           while (e < off(u + 1)) {
-            val v = edges(e)
+            val v = adj(e)
             if (vis(v) != epoch) { vis(v) = epoch; stack(sp) = v; sp += 1; count += 1 }
             e += 1
           }
@@ -146,14 +108,11 @@ object MonteCarloSpread {
         sums(s - from) += count
         s += 1
       }
-      i = 0
-      while (i < size) { local(verts(i)) = -1; i += 1 }
-      w += 1
+      ws.reset()
+      world += 1
     }
     sums
   }
-
-  private def grow(a: Array[Int]): Array[Int] = java.util.Arrays.copyOf(a, 2 * a.length)
 
   /** Reach count of `roots` in the world keyed by `sampleSeed`, reusing
     * `vis` (cleared first).

@@ -55,7 +55,7 @@ class DominatorTreeSpec extends AnyFunSuite {
       Seq((0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 3, 1.0), (3, 4, 1.0),
         (4, 5, 1.0), (5, 3, 1.0), (2, 4, 1.0)))
     val lt = idomMap(g, 0)
-    val bf = DominatorTree.bruteForceIdoms(g, 0)
+    val bf = BruteForceDominators.idoms(g, 0)
     for ((v, d) <- lt) assert(bf(v) == d, s"vertex $v")
   }
 
@@ -137,7 +137,7 @@ class DominatorTreeSpec extends AnyFunSuite {
       val g = ProbGraph.fromEdges(n, edges)
       val root = rnd.nextInt(n)
       val lt = DominatorTree.compute(g, root, _ => true)
-      val bf = DominatorTree.bruteForceIdoms(g, root)
+      val bf = BruteForceDominators.idoms(g, root)
       for (v <- 0 until n) {
         val ltIdom = if (lt.reachable(v)) lt.idomOf(v) else -1
         assert(ltIdom == bf(v), s"trial=$trial root=$root vertex=$v edges=${g.edgeTriples}")
@@ -154,7 +154,7 @@ class DominatorTreeSpec extends AnyFunSuite {
       val keepMask = Array.fill(g.m)(rnd.nextBoolean())
       val keep = (e: Int) => keepMask(e)
       val lt = DominatorTree.compute(g, 0, keep)
-      val bf = DominatorTree.bruteForceIdoms(g, 0, keep)
+      val bf = BruteForceDominators.idoms(g, 0, keep)
       for (v <- 0 until n) {
         val ltIdom = if (lt.reachable(v)) lt.idomOf(v) else -1
         assert(ltIdom == bf(v), s"trial=$trial vertex=$v")
@@ -249,7 +249,7 @@ class DominatorTreeSpec extends AnyFunSuite {
       // Vertex n is the virtual root of the brute-force graph.
       val lifted = ProbGraph.fromEdges(n + 1,
         g.blockVertices(mask).edgeTriples ++ roots.filterNot(mask).map(r => (n, r, 1.0)))
-      val bf = DominatorTree.bruteForceIdoms(lifted, n)
+      val bf = BruteForceDominators.idoms(lifted, n)
       val kernel = Array.fill(n)(-1)
       for (i <- 1 until ws.count) kernel(ws.vertexOf(i)) = if (ws.idom(i) == 0) n else ws.vertexOf(ws.idom(i))
       assert(kernel.toSeq == bf.toSeq.take(n), s"trial=$trial roots=${roots.toSeq} mask=${mask.toSeq}")

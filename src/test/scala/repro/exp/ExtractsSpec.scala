@@ -1,7 +1,9 @@
 package repro.exp
 
 import org.scalatest.funsuite.AnyFunSuite
-import repro.graph.SocialGraphGen
+import repro.graph.{ProbGraph, SocialGraphGen}
+import scala.collection.mutable
+import scala.util.Random
 
 class ExtractsSpec extends AnyFunSuite {
 
@@ -43,5 +45,37 @@ class ExtractsSpec extends AnyFunSuite {
     val (a, _) = Extracts.neighborhoodExtract(base, 25, 6L)
     val (b, _) = Extracts.neighborhoodExtract(base, 25, 7L)
     assert(a.edgeTriples != b.edgeTriples)
+  }
+
+  test("extracts equal the definition that reads in-neighbours off the reversed graph") {
+    // The reversed graph's row v lists v's in-neighbours by ascending
+    // source, in CSR order within a source.
+    def viaReverse(g: ProbGraph, targetN: Int, seed: Long): (Seq[(Int, Int, Double)], Map[Int, Int]) = {
+      val rnd = new Random(seed)
+      val rev = ProbGraph.fromEdges(g.n, g.edgeTriples.map { case (u, v, p) => (v, u, p) })
+      val chosen = mutable.LinkedHashSet.empty[Int]
+      val queue = mutable.ArrayBuffer.empty[Int]
+      def absorb(v: Int): Unit = if (chosen.add(v)) queue += v
+      absorb(rnd.nextInt(g.n))
+      while (chosen.size < targetN) {
+        val pivot =
+          if (queue.nonEmpty) queue.remove(rnd.nextInt(queue.size))
+          else { val v = rnd.nextInt(g.n); absorb(v); v }
+        g.outNeighbors(pivot).foreach(absorb)
+        rev.outNeighbors(pivot).foreach(absorb)
+      }
+      val map = chosen.toIndexedSeq.zipWithIndex.toMap
+      val edges = g.edgeTriples.collect { case (u, v, p) if map.contains(u) && map.contains(v) => (map(u), map(v), p) }
+      (ProbGraph.fromEdges(map.size, edges).edgeTriples, map)
+    }
+    // The Table V/VI extracts (EmailCore substitute, seeds 43 to 45) and
+    // smaller ones on a sparser graph.
+    val emailCore = Datasets.byName("EmailCore")
+    val tr = Datasets.withModel(emailCore.graph, "TR", emailCore.seed)
+    for ((g, targetN, seeds) <- Seq((tr, 30, 43L to 45L), (base, 10, 1L to 20L), (base, 30, 1L to 20L)); seed <- seeds) {
+      val (sub, map) = Extracts.neighborhoodExtract(g, targetN, seed)
+      val (edges, wantMap) = viaReverse(g, targetN, seed)
+      assert(map == wantMap && sub.edgeTriples == edges, s"n = ${g.n}, target $targetN, seed $seed")
+    }
   }
 }

@@ -26,13 +26,6 @@ class ProbGraphSpec extends SparkSpec {
     assert(g.outNeighbors(3).isEmpty)
   }
 
-  test("foreachOut visits every edge of a vertex with its probability") {
-    val g = diamond
-    var seen = List.empty[(Int, Double)]
-    g.foreachOut(0)((_, v, p) => seen ::= (v, p))
-    assert(seen.toSet == Set((1, 0.5), (2, 1.0)))
-  }
-
   test("inDegrees counts incoming edges") {
     val g = diamond
     assert(g.inDegrees.toSeq == Seq(0, 1, 1, 2))
@@ -42,18 +35,6 @@ class ProbGraphSpec extends SparkSpec {
     val g = diamond
     val g2 = ProbGraph.fromEdges(g.n, g.edgeTriples)
     assert(g2.edgeTriples == g.edgeTriples)
-  }
-
-  test("reverse flips every edge and preserves probabilities") {
-    val g = diamond
-    val r = g.reverse
-    assert(r.m == g.m)
-    assert(r.edgeTriples.toSet == g.edgeTriples.map { case (u, v, p) => (v, u, p) }.toSet)
-  }
-
-  test("reverse twice is the identity up to edge order") {
-    val g = diamond
-    assert(g.reverse.reverse.edgeTriples.toSet == g.edgeTriples.toSet)
   }
 
   test("blockVertices removes all edges incident to blocked vertices") {

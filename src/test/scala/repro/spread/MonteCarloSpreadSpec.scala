@@ -1,8 +1,11 @@
 package repro.spread
 
 import repro.SparkSpec
+import repro.domtree.DominatorTree
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.imin.Blocking
+import repro.sampling.GraphSampler
+import repro.util.Rng
 import scala.util.Random
 
 class MonteCarloSpreadSpec extends SparkSpec {
@@ -102,6 +105,7 @@ class MonteCarloSpreadSpec extends SparkSpec {
         if (set.exists(!support(_))) covered("off the support") += 1
         if (set.distinct.length < stride) covered("repeated") += 1
       }
+      val ws = new DominatorTree.Workspace(n)
       for (r <- Seq(1, 7, 100)) {
         val seed = rnd.nextLong()
         val want = (from until until).map { i =>
@@ -109,12 +113,25 @@ class MonteCarloSpreadSpec extends SparkSpec {
           (i * stride until (i + 1) * stride).foreach(j => mask(sets(j)) = true)
           MonteCarloSpread.reachSum(h, roots, mask, seed, 0L, r)
         }
-        val got = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed)
+        // Some world has a root that an earlier root's walk reaches first.
+        val rootReachedFirst = from < until && (0 until r).exists { i =>
+          val vis = new Array[Boolean](n)
+          val live = GraphSampler.liveEdge(h, Rng.sampleSeed(seed, i))
+          roots.exists { v =>
+            if (blocked != null && blocked(v)) false
+            else vis(v) || { GraphSampler.reach(h, Array(v), blocked, vis)(live); false }
+          }
+        }
+        if (rootReachedFirst) covered("reached by another root") += 1
+        val got = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed, ws)
         assert(got.toSeq == want, s"graph $k, stride $stride, r = $r, sets [$from, $until)")
+        val again = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed, ws)
+        assert(again.toSeq == want, s"reused workspace: graph $k, stride $stride, r = $r")
+        assert(ws.dfn.forall(_ == -1), s"graph $k, r = $r")
       }
     }
-    for (kind <- Seq("root", "blocked", "off the support", "repeated"))
-      assert(covered(kind) >= 10, s"only ${covered(kind)} sets with a member $kind")
+    for (kind <- Seq("root", "blocked", "off the support", "repeated", "reached by another root"))
+      assert(covered(kind) >= 10, s"only ${covered(kind)} cases: $kind")
   }
 
   test("r must be positive") {
