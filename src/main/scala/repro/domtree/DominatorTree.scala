@@ -79,14 +79,16 @@ object DominatorTree {
     * of `g` that satisfy `keepEdge`. It never enters a `blocked` vertex
     * (null: none), asks `keepEdge` at most once per edge (only about the
     * out-edges of reached vertices into unblocked ones) and records every
-    * live edge it meets. The caller resets `ws` when done with its `dfn`.
+    * live edge it meets. Returns how many vertices it reached, roots
+    * included (a blocked root counts as unreached, a repeated one once). The
+    * caller resets `ws` when done with its `dfn`.
     */
   def walk(
       g: ProbGraph,
       roots: Array[Int],
       blocked: Array[Boolean],
       keepEdge: Int => Boolean,
-      ws: Workspace): Unit = {
+      ws: Workspace): Int = {
     require(ws.n == g.n, s"workspace for ${ws.n} vertices used on a graph of ${g.n}")
     val offsets = g.offsets
     val targets = g.targets
@@ -145,6 +147,7 @@ object DominatorTree {
     ws.vertexOf = vertexOf; ws.parent = parent; ws.stackV = stackV; ws.stackE = stackE
     ws.edgeSrc = edgeSrc; ws.edgeDst = edgeDst
     ws.count = cnt; ws.edges = ne
+    cnt - 1
   }
 
   /** Counting sort of the walk's edge pairs `(keys(k), vals(k))`, `k < ne`,

@@ -1,7 +1,7 @@
 package repro.imin
 
+import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
-import repro.sampling.GraphSampler
 
 /** Shared plumbing for the blocker-selection algorithms. */
 object Blocking {
@@ -17,9 +17,11 @@ object Blocking {
     * only vertices whose blocking can decrease the spread.
     */
   def support(g: ProbGraph, roots: Array[Int]): Array[Boolean] = {
-    val vis = new Array[Boolean](g.n)
-    GraphSampler.reach(g, roots, null, vis)(e => g.probs(e) > 0.0)
-    vis
+    val ws = new DominatorTree.Workspace(g.n)
+    val count = DominatorTree.walk(g, roots, null, e => g.probs(e) > 0.0, ws)
+    val support = new Array[Boolean](g.n)
+    (1 to count).foreach(d => support(ws.vertexOf(d)) = true)
+    support
   }
 
   /** Deterministic argmax of `delta` over vertices satisfying `allowed`:

@@ -66,10 +66,11 @@ object Heuristics {
     }
   }
 
-  /** The non-seed vertex ids of `g`, ascending. */
+  /** The non-seed vertex ids of `g`, ascending, with `seeds` checked as
+    * every algorithm checks them ([[Blocking.rootsOf]]).
+    */
   private def nonSeeds(g: ProbGraph, seeds: Set[Int]): Array[Int] = {
-    val isSeed = new Array[Boolean](g.n)
-    seeds.foreach(s => if (s >= 0 && s < g.n) isSeed(s) = true)
+    val isSeed = Blocking.maskOf(g.n, Blocking.rootsOf(g, seeds))
     val pool = Array.newBuilder[Int]
     var v = 0
     while (v < g.n) {

@@ -1,7 +1,7 @@
 package repro.spread
 
+import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
-import repro.sampling.GraphSampler
 
 /** Exact expected spread under the IC model by enumerating the outcomes of
   * every *uncertain* edge (0 < p < 1). Feasible only when the number of
@@ -34,7 +34,7 @@ object ExactSpread {
     val keepUncertain = new Array[Boolean](g.m)
     // An edge is live in this world if it is certain, or uncertain and on.
     val live = (e: Int) => g.probs(e) >= 1.0 || (g.probs(e) > 0.0 && keepUncertain(e))
-    val vis = new Array[Boolean](g.n)
+    val ws = new DominatorTree.Workspace(g.n)
     val nCombos = 1L << uncertain.length
     var combo = 0L
     while (combo < nCombos) {
@@ -47,10 +47,10 @@ object ExactSpread {
         worldP *= (if (on) g.probs(e) else 1.0 - g.probs(e))
         i += 1
       }
-      java.util.Arrays.fill(vis, false)
-      GraphSampler.reach(g, roots, blocked, vis)(live)
-      var v = 0
-      while (v < g.n) { if (vis(v)) probs(v) += worldP; v += 1 }
+      val count = DominatorTree.walk(g, roots, blocked, live, ws)
+      var d = 1
+      while (d <= count) { probs(ws.vertexOf(d)) += worldP; d += 1 }
+      ws.reset()
       combo += 1
     }
     probs

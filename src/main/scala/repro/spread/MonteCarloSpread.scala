@@ -17,8 +17,8 @@ import repro.util.Rng
 object MonteCarloSpread {
 
   /** Total reach count of `roots` over the sampled worlds `from until until`
-    * keyed by `masterSeed`, with `blocked` vertices removed (null: none), on
-    * one `vis` array.
+    * keyed by `masterSeed`, with `blocked` vertices removed (null: none): one
+    * [[DominatorTree.walk]] per world on one workspace.
     */
   def reachSum(
       g: ProbGraph,
@@ -27,11 +27,12 @@ object MonteCarloSpread {
       masterSeed: Long,
       from: Long,
       until: Long): Long = {
-    val vis = new Array[Boolean](g.n)
+    val ws = new DominatorTree.Workspace(g.n)
     var sum = 0L
     var i = from
     while (i < until) {
-      sum += reachWorld(g, roots, Rng.sampleSeed(masterSeed, i), blocked, vis)
+      sum += DominatorTree.walk(g, roots, blocked, GraphSampler.liveEdge(g, Rng.sampleSeed(masterSeed, i)), ws)
+      ws.reset()
       i += 1
     }
     sum
@@ -112,19 +113,6 @@ object MonteCarloSpread {
       world += 1
     }
     sums
-  }
-
-  /** Reach count of `roots` in the world keyed by `sampleSeed`, reusing
-    * `vis` (cleared first).
-    */
-  private def reachWorld(
-      g: ProbGraph,
-      roots: Array[Int],
-      sampleSeed: Long,
-      blocked: Array[Boolean],
-      vis: Array[Boolean]): Int = {
-    java.util.Arrays.fill(vis, false)
-    GraphSampler.reach(g, roots, blocked, vis)(GraphSampler.liveEdge(g, sampleSeed))
   }
 
   /** Estimate over `r` simulations with `blocked` vertices removed (null:

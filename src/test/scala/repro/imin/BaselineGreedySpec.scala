@@ -4,6 +4,7 @@ import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
 import repro.exp.Datasets
 import repro.graph.{ProbGraph, ToyGraph}
+import repro.sampling.ReachOracle
 import repro.spread.{ExactSpread, MonteCarloSpread}
 import repro.util.Rng
 
@@ -111,7 +112,7 @@ class BaselineGreedySpec extends SparkSpec {
     val hSeeds = Datasets.randomSeeds(h, 10, 90L)
     val (b, r, masterSeed) = (3, 100, 81L)
     // Reference: Algorithm 1 with one mask copy and one r-world MCS per
-    // candidate, each drawing its own coins.
+    // candidate, each drawing its own coins, on the tests' own reach.
     val roots = Blocking.rootsOf(h, hSeeds)
     val support = Blocking.support(h, roots)
     val blocked = new Array[Boolean](h.n)
@@ -123,14 +124,19 @@ class BaselineGreedySpec extends SparkSpec {
       def spreadSum(extra: Int) = {
         val mask = blocked.clone()
         if (extra >= 0) mask(extra) = true
-        MonteCarloSpread.reachSum(h, roots, mask, roundSeed, 0L, r)
+        ReachOracle.sum(h, roots, mask, roundSeed, r)
       }
       val candidates = (0 until h.n).filter(v => support(v) && !blocked(v) && !hSeeds(v))
       if (candidates.isEmpty) exhausted = true
       else {
         val sums = candidates.map(u => u -> spreadSum(u)).toMap
+        // BG's own round base and sweep count the same sums.
+        val base = spreadSum(-1)
+        assert(MonteCarloSpread.reachSum(h, roots, blocked, roundSeed, 0L, r) == base, s"round ${i + 1} base")
+        assert(BaselineGreedy.sweep(None, h, roots, blocked, candidates.toArray, r, roundSeed).toSeq ==
+          candidates.map(sums), s"round ${i + 1} sweep")
         val x = candidates.minBy(u => (sums(u), u))
-        if (spreadSum(-1) - sums(x) <= 0L) exhausted = true
+        if (base - sums(x) <= 0L) exhausted = true
         else { blocked(x) = true; want += x }
       }
       i += 1

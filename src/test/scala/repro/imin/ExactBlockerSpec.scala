@@ -3,7 +3,8 @@ package repro.imin
 import repro.SparkSpec
 import repro.exp.{Datasets, Extracts}
 import repro.graph.{ProbGraph, ToyGraph}
-import repro.spread.{ExactSpread, MonteCarloSpread}
+import repro.sampling.ReachOracle
+import repro.spread.ExactSpread
 import repro.util.Rng
 import scala.util.Random
 
@@ -14,7 +15,8 @@ class ExactBlockerSpec extends SparkSpec {
   private def v(k: Int) = ToyGraph.v(k)
 
   /** The combination-major search Exact ran before its sweep: one mask and
-    * one `reachSum` over the pool per combination index, in index order.
+    * one sum over the pool per combination index, in index order, each
+    * world counted by the tests' own reach.
     */
   private def oracleSearch(
       g: ProbGraph,
@@ -26,7 +28,7 @@ class ExactBlockerSpec extends SparkSpec {
     var best = (Long.MaxValue, -1L)
     for (idx <- 0L until ExactBlocker.choose(candidates.length, b)) {
       val mask = Blocking.maskOf(g.n, ExactBlocker.unrank(idx, b).map(candidates(_)))
-      val sum = MonteCarloSpread.reachSum(g, roots, mask, masterSeed, 0L, thetaEval)
+      val sum = ReachOracle.sum(g, roots, mask, masterSeed, thetaEval)
       if (sum < best._1) best = (sum, idx)
     }
     best
@@ -98,7 +100,7 @@ class ExactBlockerSpec extends SparkSpec {
           val want = oracleSearch(h, roots, candidates, b, theta, seed)
           assert(ExactBlocker.search(None, h, roots, candidates, b, theta, seed) == want, s"graph $k, b=$b, theta=$theta")
           val sums = (0L until ExactBlocker.choose(candidates.length, b)).map { idx =>
-            MonteCarloSpread.reachSum(h, roots, Blocking.maskOf(n, ExactBlocker.unrank(idx, b).map(candidates(_))), seed, 0L, theta)
+            ReachOracle.sum(h, roots, Blocking.maskOf(n, ExactBlocker.unrank(idx, b).map(candidates(_))), seed, theta)
           }
           if (sums.count(_ == want._1) > 1) ties += 1
         }

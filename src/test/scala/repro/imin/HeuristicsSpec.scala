@@ -47,6 +47,13 @@ class HeuristicsSpec extends AnyFunSuite {
     assert(Heuristics.outDegree(h, Set(0), 2) == Seq(1, 2))
   }
 
+  test("rand and outDegree reject an empty or out-of-range seed set") {
+    for (bad <- Seq(Set.empty[Int], Set(ToyGraph.seed, g.n))) {
+      intercept[IllegalArgumentException](Heuristics.rand(g, bad, 2, 1L))
+      intercept[IllegalArgumentException](Heuristics.outDegree(g, bad, 2))
+    }
+  }
+
   test("rand and outDegree equal their boxed definitions on random graphs") {
     // Reference definitions over boxed collections.
     def randRef(g: ProbGraph, seeds: Set[Int], b: Int, seed: Long): Seq[Int] =

@@ -40,10 +40,10 @@ class DeltaEstimatorSpec extends SparkSpec {
       val sampleSeed = Rng.sampleSeed(100L + trial, 0L)
       val acc = new Array[Double](n)
       DeltaEstimator.accumulateSample(h, Array(0), null, sampleSeed, acc, new DominatorTree.Workspace(n))
-      val full = GraphSampler.reachCount(h, Array(0), sampleSeed)
+      val full = ReachOracle.world(h, Seq(0), null, sampleSeed).size
       for (u <- 1 until n) {
         val blocked = new Array[Boolean](n); blocked(u) = true
-        val sigma = full - GraphSampler.reachCount(h, Array(0), sampleSeed, blocked)
+        val sigma = full - ReachOracle.world(h, Seq(0), blocked, sampleSeed).size
         assert(acc(u) == sigma.toDouble, s"trial=$trial u=$u")
       }
     }

@@ -1,6 +1,7 @@
 package repro.sampling
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.domtree.DominatorTree
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.util.Rng
 
@@ -8,19 +9,23 @@ class GraphSamplerSpec extends AnyFunSuite {
 
   private val g = ToyGraph.graph
 
-  /** The vertices `reach` marks from `roots` in the world `sampleSeed`. */
+  /** The vertices `DominatorTree.walk` reaches from `roots` in the world
+    * `sampleSeed`, read off the workspace's `vertexOf`.
+    */
   private def reachSet(h: ProbGraph, roots: Array[Int], sampleSeed: Long, blocked: Array[Boolean] = null): Set[Int] = {
-    val vis = new Array[Boolean](h.n)
-    GraphSampler.reach(h, roots, blocked, vis)(GraphSampler.liveEdge(h, sampleSeed))
-    (0 until h.n).filter(vis).toSet
+    val ws = new DominatorTree.Workspace(h.n)
+    val count = DominatorTree.walk(h, roots, blocked, GraphSampler.liveEdge(h, sampleSeed), ws)
+    (1 to count).map(ws.vertexOf(_)).toSet
   }
 
   test("reach grows its stack past the initial size on a wide star") {
-    // a star wider than the kernel's initial stack, so the stack has to grow
+    // a star wider than the workspace's initial 16-entry arrays, so its
+    // per-dfn and edge arrays have to grow
     val star = ProbGraph.fromEdges(41, (1 to 40).map(leaf => (0, leaf, 1.0)))
-    val vis = new Array[Boolean](star.n)
-    assert(GraphSampler.reach(star, Array(0), null, vis)(_ => true) == 41)
-    assert(vis.forall(identity))
+    val ws = new DominatorTree.Workspace(star.n)
+    assert(DominatorTree.walk(star, Array(0), null, _ => true, ws) == 41)
+    assert(ws.vertexOf.length > 16 && ws.edgeSrc.length > 16)
+    assert((1 to 41).map(ws.vertexOf(_)).toSet == (0 until 41).toSet)
   }
 
   test("edgeMask keeps certain edges in every sample") {

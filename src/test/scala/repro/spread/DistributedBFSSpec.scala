@@ -1,10 +1,11 @@
 package repro.spread
 
 import repro.{Oracle, SparkSpec}
+import repro.domtree.DominatorTree
 import repro.graph.{ProbGraph, ToyGraph}
-import repro.sampling.GraphSampler
 
-/** Reachability cases run on the one kernel, [[GraphSampler.reach]].
+/** Reachability cases run on the one kernel, [[DominatorTree.walk]], whose
+  * reached set is read off the workspace's `vertexOf`.
   *
   * The suite keeps the name and test names it had when it checked the
   * DataFrame-join and GraphX Pregel reachability copies, so results stay
@@ -21,9 +22,9 @@ class DistributedBFSSpec extends SparkSpec {
     ProbGraph.fromEdges(n, edges.map { case (a, b) => (a, b, 1.0) })
 
   private def reachOf(g: ProbGraph, roots: Array[Int], keep: Int => Boolean): (Set[Int], Int) = {
-    val vis = new Array[Boolean](g.n)
-    val count = GraphSampler.reach(g, roots, null, vis)(keep)
-    ((0 until g.n).filter(vis).toSet, count)
+    val ws = new DominatorTree.Workspace(g.n)
+    val count = DominatorTree.walk(g, roots, null, keep, ws)
+    ((1 to count).map(ws.vertexOf(_)).toSet, count)
   }
 
   // (test name, graph, roots, keepEdge, expected reach)

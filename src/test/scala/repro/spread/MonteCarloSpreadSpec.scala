@@ -4,7 +4,7 @@ import repro.SparkSpec
 import repro.domtree.DominatorTree
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.imin.Blocking
-import repro.sampling.GraphSampler
+import repro.sampling.ReachOracle
 import repro.util.Rng
 import scala.util.Random
 
@@ -108,18 +108,20 @@ class MonteCarloSpreadSpec extends SparkSpec {
       val ws = new DominatorTree.Workspace(n)
       for (r <- Seq(1, 7, 100)) {
         val seed = rnd.nextLong()
+        // Each set's sum from the tests' own reach, which reachSum must equal.
         val want = (from until until).map { i =>
           val mask = if (blocked == null) new Array[Boolean](n) else blocked.clone()
           (i * stride until (i + 1) * stride).foreach(j => mask(sets(j)) = true)
-          MonteCarloSpread.reachSum(h, roots, mask, seed, 0L, r)
+          val sum = ReachOracle.sum(h, roots, mask, seed, r)
+          assert(MonteCarloSpread.reachSum(h, roots, mask, seed, 0L, r) == sum, s"graph $k, set $i, r = $r")
+          sum
         }
         // Some world has a root that an earlier root's walk reaches first.
         val rootReachedFirst = from < until && (0 until r).exists { i =>
-          val vis = new Array[Boolean](n)
-          val live = GraphSampler.liveEdge(h, Rng.sampleSeed(seed, i))
+          var reached = Set.empty[Int]
           roots.exists { v =>
             if (blocked != null && blocked(v)) false
-            else vis(v) || { GraphSampler.reach(h, Array(v), blocked, vis)(live); false }
+            else reached(v) || { reached ++= ReachOracle.world(h, Seq(v), blocked, Rng.sampleSeed(seed, i)); false }
           }
         }
         if (rootReachedFirst) covered("reached by another root") += 1
