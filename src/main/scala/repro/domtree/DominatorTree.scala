@@ -1,13 +1,15 @@
 package repro.domtree
 
 import repro.graph.ProbGraph
+import repro.util.Rng
 
 /** Dominator trees via the Lengauer–Tarjan algorithm [53] (the "simple"
   * eval/link variant with path compression, O(m log n)).
   *
-  * The tree is computed for the subgraph of `g` induced by an edge predicate
-  * (the live edges of one sampled world) restricted to the vertices
-  * reachable from a root set — exactly what Algorithm 2 of the paper needs.
+  * The tree is computed for the subgraph of `g` of the live edges of one
+  * sampled world (or of an explicit edge predicate) restricted to the
+  * vertices reachable from a root set — exactly what Algorithm 2 of the
+  * paper needs.
   * The roots hang below a virtual root, dfn 0, so a seed set needs no §V
   * seed reduction: in every live-edge world each non-seed vertex has the
   * same dominator subtree as in that world blocked and then reduced to one
@@ -75,23 +77,39 @@ object DominatorTree {
   private def grown(a: Array[Int]): Array[Int] = java.util.Arrays.copyOf(a, 2 * a.length)
 
   /** The one walk of a sampled world: an iterative DFS, into `ws`, from a
-    * virtual root whose children are the unblocked `roots`, over the edges
-    * of `g` that satisfy `keepEdge`. It never enters a `blocked` vertex
-    * (null: none), asks `keepEdge` at most once per edge (only about the
+    * virtual root whose children are the unblocked `roots`, over the live
+    * edges of the IC world keyed by `sampleSeed` (`Rng.cutKeep`, the
+    * decision of `GraphSampler.liveEdge`). It never enters a `blocked`
+    * vertex (null: none), draws an edge's coin at most once (only for the
     * out-edges of reached vertices into unblocked ones) and records every
     * live edge it meets. Returns how many vertices it reached, roots
     * included (a blocked root counts as unreached, a repeated one once). The
     * caller resets `ws` when done with its `dfn`.
     */
-  def walk(
+  def walk(g: ProbGraph, roots: Array[Int], blocked: Array[Boolean], sampleSeed: Long, ws: Workspace): Int =
+    search(g, roots, blocked, null, sampleSeed, ws)
+
+  /** [[walk]] over the edges that satisfy `keepEdge`, asked at most once per
+    * edge, instead of a sampled world's.
+    */
+  def walk(g: ProbGraph, roots: Array[Int], blocked: Array[Boolean], keepEdge: Int => Boolean, ws: Workspace): Int =
+    search(g, roots, blocked, keepEdge, 0L, ws)
+
+  /** The loop of both [[walk]]s: an edge is live by `keepEdge`, or by the
+    * coin of world `sampleSeed` when `keepEdge` is null.
+    */
+  private def search(
       g: ProbGraph,
       roots: Array[Int],
       blocked: Array[Boolean],
       keepEdge: Int => Boolean,
+      sampleSeed: Long,
       ws: Workspace): Int = {
     require(ws.n == g.n, s"workspace for ${ws.n} vertices used on a graph of ${g.n}")
     val offsets = g.offsets
     val targets = g.targets
+    val cuts = g.cuts
+    val probs = g.probs
     val dfn = ws.dfn
     var vertexOf = ws.vertexOf
     var parent = ws.parent
@@ -124,7 +142,8 @@ object DominatorTree {
           var descended = false
           while (e < end && !descended) {
             val v = targets(e)
-            if ((blocked == null || !blocked(v)) && keepEdge(e)) {
+            if ((blocked == null || !blocked(v)) &&
+                (if (keepEdge == null) Rng.cutKeep(sampleSeed, e, cuts, probs) else keepEdge(e))) {
               var dv = dfn(v)
               if (dv < 0) {
                 if (cnt == vertexOf.length) { vertexOf = grown(vertexOf); parent = grown(parent) }
@@ -170,16 +189,22 @@ object DominatorTree {
   }
 
   /** The one dominator-tree kernel. Computes, into `ws`, the dominator tree
-    * of the part of the world that [[walk]] reaches from `roots`, never
-    * entering a `blocked` vertex.
+    * of the part of the world `sampleSeed` that [[walk]] reaches from
+    * `roots`, never entering a `blocked` vertex.
     */
-  def compute(
-      g: ProbGraph,
-      roots: Array[Int],
-      blocked: Array[Boolean],
-      keepEdge: Int => Boolean,
-      ws: Workspace): Unit = {
+  def compute(g: ProbGraph, roots: Array[Int], blocked: Array[Boolean], sampleSeed: Long, ws: Workspace): Unit = {
+    walk(g, roots, blocked, sampleSeed, ws)
+    tree(ws)
+  }
+
+  /** [[compute]] on the edges that satisfy `keepEdge`. */
+  def compute(g: ProbGraph, roots: Array[Int], blocked: Array[Boolean], keepEdge: Int => Boolean, ws: Workspace): Unit = {
     walk(g, roots, blocked, keepEdge, ws)
+    tree(ws)
+  }
+
+  /** The dominator tree of the walk in `ws`, and `ws` reset. */
+  private def tree(ws: Workspace): Unit = {
     val cnt = ws.count
     val parent = ws.parent
     ws.fit(cnt, ws.edges)

@@ -1,6 +1,7 @@
 package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
+import repro.util.Rng
 
 /** Immutable directed graph with a propagation probability on every edge,
   * stored in CSR (compressed sparse row) form over vertex ids `0 until n`.
@@ -17,6 +18,10 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
   * @param offsets CSR row offsets, size `n + 1`
   * @param targets edge targets grouped by source, size `m`
   * @param probs   per-edge propagation probability, aligned with `targets`
+  *
+  * Each graph also carries `cuts`, every probability's integer cut
+  * (`Rng.cut`), so that a sampled world decides its coins on the hash's top
+  * 32 bits (`Rng.cutKeep`); a graph that is never sampled never makes them.
   */
 final class ProbGraph private[graph] (
     val n: Int,
@@ -27,6 +32,16 @@ final class ProbGraph private[graph] (
 
   require(offsets.length == n + 1, s"offsets length ${offsets.length} != n+1")
   require(targets.length == probs.length, "targets/probs length mismatch")
+
+  /** `Rng.cut` of every edge's probability, aligned with `targets`; made
+    * once, when the graph is first sampled.
+    */
+  private[repro] lazy val cuts: Array[Int] = {
+    val c = new Array[Int](probs.length)
+    var e = 0
+    while (e < c.length) { c(e) = Rng.cut(probs(e)); e += 1 }
+    c
+  }
 
   /** Number of directed edges. */
   def m: Int = targets.length
@@ -63,13 +78,20 @@ final class ProbGraph private[graph] (
     ProbGraph.fromEdges(n, kept)
   }
 
-  /** Same graph with probabilities replaced by `f(edgeIdx, src, dst)`. */
+  /** Same graph with probabilities replaced by `f(edgeIdx, src, dst)`, each
+    * of which must lie in [0, 1].
+    */
   def mapProbs(f: (Int, Int, Int) => Double): ProbGraph = {
     val p2 = new Array[Double](m)
     var u = 0
     while (u < n) {
       var e = offsets(u)
-      while (e < offsets(u + 1)) { p2(e) = f(e, u, targets(e)); e += 1 }
+      while (e < offsets(u + 1)) {
+        val p = f(e, u, targets(e))
+        require(p >= 0.0 && p <= 1.0, s"probability $p outside [0,1] on ($u,${targets(e)})")
+        p2(e) = p
+        e += 1
+      }
       u += 1
     }
     new ProbGraph(n, offsets, targets, p2)

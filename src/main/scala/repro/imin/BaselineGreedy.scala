@@ -19,10 +19,12 @@ import scala.collection.mutable.ArrayBuffer
   * worlds (common random numbers). So with θ = r a candidate's decrease is
   * r × its AG Δ (Theorem 6), and BG picks AG's blocker (§V-C). What the
   * candidates share is each world's live subgraph: a sweep walks a world
-  * once from the seeds with the round's blockers, and keeps the live edges
-  * among the vertices it reaches ([[repro.spread.MonteCarloSpread.sweepSums]]).
-  * What stays per candidate is every traversal: each candidate × world is
-  * its own walk from the seeds on that subgraph, as in Alg. 1.
+  * once from the seeds with the round's blockers, which also counts the
+  * round's base spread, and keeps the live edges among the vertices it
+  * reaches and the seeds' live successors
+  * ([[repro.spread.MonteCarloSpread.sweepSums]]). What stays per candidate
+  * is every traversal: each candidate × world is its own walk on that
+  * subgraph from the seeds' successors, as in Alg. 1.
   */
 object BaselineGreedy {
 
@@ -64,8 +66,7 @@ object BaselineGreedy {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
       if (candidates.isEmpty) exhausted = true
       else {
-        val base = MonteCarloSpread.reachSum(g, roots, blocked, roundSeed, 0L, r)
-        val sums = sweep(cluster, g, roots, blocked, candidates, r, roundSeed)
+        val (base, sums) = sweep(cluster, g, roots, blocked, candidates, r, roundSeed)
         // Max decrease == min spread; candidates ascend, so the first
         // minimum breaks ties by smallest id.
         var best = 0
@@ -86,10 +87,12 @@ object BaselineGreedy {
     order.toSeq
   }
 
-  /** One round's sweep: the total reach count over the round's `r` worlds
-    * with each candidate blocked in turn, in candidate order, on the driver
-    * (`cluster = None`) or as one Spark job (one task sweeps a slice of the
-    * candidates; the slices' sums are concatenated in slice order).
+  /** One round's sweep: the round's base, the total reach count over its
+    * `r` worlds with `blocked` alone, and that total with each candidate
+    * blocked in turn, in candidate order, on the driver (`cluster = None`)
+    * or as one Spark job (one task sweeps a slice of the candidates and
+    * counts the base on the way; the slices' sums are concatenated in slice
+    * order).
     */
   private[repro] def sweep(
       cluster: Option[SparkSession],
@@ -98,10 +101,10 @@ object BaselineGreedy {
       blocked: Array[Boolean],
       candidates: Array[Int],
       r: Int,
-      roundSeed: Long): Array[Long] =
+      roundSeed: Long): (Long, Array[Long]) =
     Execution.run(cluster, g, (roots, blocked, candidates), candidates.length) {
       case (g, (roots, blocked, candidates), from, until) =>
         MonteCarloSpread.sweepSums(g, roots, blocked, candidates, 1, from.toInt, until.toInt, r, roundSeed,
           new DominatorTree.Workspace(g.n))
-    }(_ ++ _)
+    } { case ((base, a), (_, b)) => (base, a ++ b) }
 }

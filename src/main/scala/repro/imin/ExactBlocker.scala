@@ -143,7 +143,7 @@ object ExactBlocker {
             nextCombination(pos)
             s += 1
           }
-          val sums = MonteCarloSpread.sweepSums(g, roots, null, sets, b, 0, k, thetaEval, masterSeed, ws)
+          val (_, sums) = MonteCarloSpread.sweepSums(g, roots, null, sets, b, 0, k, thetaEval, masterSeed, ws)
           s = 0
           while (s < k) {
             if (sums(s) < best._1) best = (sums(s), idx + s) // ids ascend: a tie keeps the smaller index

@@ -42,7 +42,7 @@ object DeltaEstimator {
       sampleSeed: Long,
       acc: Array[Double],
       ws: DominatorTree.Workspace): Unit = {
-    DominatorTree.compute(g, roots, blocked, GraphSampler.liveEdge(g, sampleSeed), ws)
+    DominatorTree.compute(g, roots, blocked, sampleSeed, ws)
     var i = 1 // dfn 0 is the virtual root
     while (i < ws.count) {
       acc(ws.vertexOf(i)) += ws.size(i)

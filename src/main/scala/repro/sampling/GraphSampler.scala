@@ -12,7 +12,10 @@ import repro.util.Rng
   */
 object GraphSampler {
 
-  /** Edge predicate of the sampled world `sampleSeed`. */
+  /** Edge predicate of the sampled world `sampleSeed`, by [[Rng.edgeKeep]]:
+    * the reference for the walk of a sample seed, which decides the same
+    * coins in integers (`Rng.cutKeep`) without this closure.
+    */
   def liveEdge(g: ProbGraph, sampleSeed: Long): Int => Boolean =
     (e: Int) => Rng.edgeKeep(sampleSeed, e, g.probs(e))
 
@@ -29,5 +32,5 @@ object GraphSampler {
       roots: Array[Int],
       sampleSeed: Long,
       blocked: Array[Boolean] = null): Int =
-    DominatorTree.walk(g, roots, blocked, liveEdge(g, sampleSeed), new DominatorTree.Workspace(g.n))
+    DominatorTree.walk(g, roots, blocked, sampleSeed, new DominatorTree.Workspace(g.n))
 }

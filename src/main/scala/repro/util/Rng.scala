@@ -28,11 +28,34 @@ object Rng {
   def sampleSeed(master: Long, id: Long): Long =
     splitmix64(master ^ splitmix64(id))
 
+  /** The 64-bit hash of edge `edge` in the world keyed by `sampleSeed`. */
+  def edgeHash(sampleSeed: Long, edge: Int): Long =
+    splitmix64(sampleSeed + (edge.toLong + 1L) * Golden)
+
   /** Pure uniform draw for edge `edge` in the world keyed by `sampleSeed`. */
   def edgeUniform(sampleSeed: Long, edge: Int): Double =
-    toUnitDouble(splitmix64(sampleSeed + (edge.toLong + 1L) * Golden))
+    toUnitDouble(edgeHash(sampleSeed, edge))
 
   /** Live-edge decision: does edge `edge` with probability `p` survive? */
   def edgeKeep(sampleSeed: Long, edge: Int, p: Double): Boolean =
     p >= 1.0 || (p > 0.0 && edgeUniform(sampleSeed, edge) < p)
+
+  /** The integer cut of a probability `p` in [0, 1], read as unsigned:
+    * ⌊p·2³²⌋, or 2³² − 1 when p ≥ 1.
+    */
+  def cut(p: Double): Int = if (p >= 1.0) -1 else (p * 4294967296.0).toLong.toInt
+
+  /** [[edgeKeep]] of edge `edge` of a graph whose probabilities are `probs`
+    * and their [[cut]]s `cuts`, decided on the hash's top 32 bits H:
+    * keep when H < cut, drop when H > cut, and ask [[edgeKeep]] on a tie,
+    * the only case that reads `probs`. It is the same decision: with
+    * K = hash >>> 11, so that [[edgeKeep]] keeps iff K < p·2⁵³, and
+    * H = ⌊K / 2²¹⌋, H < cut gives K < cut·2²¹ ≤ p·2⁵³, and H > cut gives
+    * K ≥ (cut + 1)·2²¹ > p·2⁵³.
+    */
+  def cutKeep(sampleSeed: Long, edge: Int, cuts: Array[Int], probs: Array[Double]): Boolean = {
+    val h = edgeHash(sampleSeed, edge) >>> 32
+    val c = cuts(edge) & 0xffffffffL
+    h < c || (h == c && edgeKeep(sampleSeed, edge, probs(edge)))
+  }
 }

@@ -139,7 +139,10 @@ class ExecutionSpec extends SparkSpec {
     def deltaMcsSweep(cluster: Option[SparkSession], count: Int) = (
       DeltaEstimator.estimate(cluster, g, Array(0, 1), blocked, count, 5L).toSeq,
       MonteCarloSpread.spread(cluster, g, Array(0, 1), count, 5L, blocked),
-      BaselineGreedy.sweep(cluster, g, Array(0, 1), blocked, candidates.take(count), 50, 5L).toSeq)
+      {
+        val (base, sums) = BaselineGreedy.sweep(cluster, g, Array(0, 1), blocked, candidates.take(count), 50, 5L)
+        (base, sums.toSeq)
+      })
     val jobs = new JobStarts
     sc.addSparkListener(jobs)
     val onSpark =

@@ -273,4 +273,40 @@ class DominatorTreeSpec extends AnyFunSuite {
         assert(kernel.getOrElse(v, 0) == dt.subtreeSizeOf(v), s"trial=$trial v=$v seeds=$seeds edges=${g.edgeTriples}")
     }
   }
+
+  test("the walk of a sample seed equals the walk on GraphSampler.liveEdge, cut ties included") {
+    val rnd = new scala.util.Random(36)
+    var ties = 0
+    for (trial <- 1 to 300) {
+      val n = 2 + rnd.nextInt(40)
+      val seed = rnd.nextLong()
+      // Each edge's p is 0, 1, random, or a value at or next to its coin's
+      // 32-bit prefix H in this world, where the cut rule asks edgeKeep.
+      val g = randomGraph(rnd, n, 3).mapProbs { (e, _, _) =>
+        val h = (Rng.edgeUniform(seed, e) * 9007199254740992.0).toLong >>> 21
+        rnd.nextInt(6) match {
+          case 0 => 0.0
+          case 1 => 1.0
+          case 2 => rnd.nextDouble()
+          case 3 => ties += 1; h / 4294967296.0
+          case 4 => (h + 1) / 4294967296.0
+          case _ => math.nextDown((h + 1) / 4294967296.0)
+        }
+      }
+      val roots = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(n))
+      val blocked = if (trial % 3 == 0) null else Array.fill(n)(rnd.nextDouble() < 0.2)
+      def walked(ws: DominatorTree.Workspace) =
+        ((0 until ws.count).map(ws.vertexOf(_)), (0 until ws.edges).map(i => (ws.edgeSrc(i), ws.edgeDst(i))))
+      val (byPredicate, bySeed) = (new DominatorTree.Workspace(n), new DominatorTree.Workspace(n))
+      val want = DominatorTree.walk(g, roots, blocked, GraphSampler.liveEdge(g, seed), byPredicate)
+      assert(DominatorTree.walk(g, roots, blocked, seed, bySeed) == want, s"trial=$trial")
+      assert(walked(bySeed) == walked(byPredicate), s"trial=$trial")
+      byPredicate.reset(); bySeed.reset()
+      DominatorTree.compute(g, roots, blocked, GraphSampler.liveEdge(g, seed), byPredicate)
+      DominatorTree.compute(g, roots, blocked, seed, bySeed)
+      assert((1 until bySeed.count).map(bySeed.size(_)) == (1 until byPredicate.count).map(byPredicate.size(_)),
+        s"trial=$trial")
+    }
+    assert(ties >= 1000, s"only $ties tie-valued edges")
+  }
 }

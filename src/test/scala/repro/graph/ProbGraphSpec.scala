@@ -54,6 +54,20 @@ class ProbGraphSpec extends SparkSpec {
     intercept[IllegalArgumentException](diamond.blockVertices(new Array[Boolean](3)))
   }
 
+  test("mapProbs rejects a probability outside [0, 1] or NaN") {
+    for (bad <- Seq(1.5, -0.1, Double.NaN, Double.PositiveInfinity)) {
+      val e = intercept[IllegalArgumentException](diamond.mapProbs((i, _, _) => if (i == 2) bad else 0.5))
+      assert(e.getMessage.contains("outside [0,1] on (1,3)"), e.getMessage)
+    }
+  }
+
+  test("every graph carries the integer cut of each probability") {
+    val g = ProbGraph.fromEdges(3, Seq((0, 1, 0.0), (0, 2, 1.0), (1, 2, math.pow(2, -32)), (2, 0, 0.5)))
+    assert(g.cuts.toSeq == Seq(0, -1, 1, Int.MinValue))
+    val h = g.mapProbs((_, _, _) => 1.0)
+    assert(h.cuts.forall(_ == -1) && g.cuts.toSeq == Seq(0, -1, 1, Int.MinValue))
+  }
+
   test("mapProbs rewrites probabilities in place") {
     val g = diamond.mapProbs((_, _, _) => 0.25)
     assert(g.probs.forall(_ == 0.25))

@@ -99,8 +99,9 @@ class BaselineGreedySpec extends SparkSpec {
         for (cs <- Seq(candidates, candidates.take(1))) {
           def sweep(cluster: Option[SparkSession]) =
             BaselineGreedy.sweep(cluster, graph, roots, blocked, cs, 1000, 6L + i)
-          val (local, dist) = (sweep(None), sweep(Some(spark)))
+          val ((localBase, local), (distBase, dist)) = (sweep(None), sweep(Some(spark)))
           assert(local.length == cs.length && local.sameElements(dist), s"round ${i + 1}, ${cs.length} candidates")
+          assert(localBase == distBase, s"round ${i + 1} base, ${cs.length} candidates")
         }
       }
     }
@@ -133,8 +134,9 @@ class BaselineGreedySpec extends SparkSpec {
         // BG's own round base and sweep count the same sums.
         val base = spreadSum(-1)
         assert(MonteCarloSpread.reachSum(h, roots, blocked, roundSeed, 0L, r) == base, s"round ${i + 1} base")
-        assert(BaselineGreedy.sweep(None, h, roots, blocked, candidates.toArray, r, roundSeed).toSeq ==
-          candidates.map(sums), s"round ${i + 1} sweep")
+        val (bgBase, bgSums) = BaselineGreedy.sweep(None, h, roots, blocked, candidates.toArray, r, roundSeed)
+        assert(bgBase == base, s"round ${i + 1} sweep base")
+        assert(bgSums.toSeq == candidates.map(sums), s"round ${i + 1} sweep")
         val x = candidates.minBy(u => (sums(u), u))
         if (base - sums(x) <= 0L) exhausted = true
         else { blocked(x) = true; want += x }

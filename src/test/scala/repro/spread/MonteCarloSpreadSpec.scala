@@ -100,7 +100,9 @@ class MonteCarloSpreadSpec extends SparkSpec {
       val until = from + rnd.nextInt(nSets - from + 1)
       val support = Blocking.support(h, roots)
       for (i <- from until until; set = sets.slice(i * stride, (i + 1) * stride)) {
-        if (set.exists(roots.contains)) covered("root") += 1
+        // A set with a root member starts at the other roots, any other
+        // set at the roots' live successors.
+        if (set.exists(roots.contains)) covered("root") += 1 else covered("no root") += 1
         if (blocked != null && set.exists(blocked)) covered("blocked") += 1
         if (set.exists(!support(_))) covered("off the support") += 1
         if (set.distinct.length < stride) covered("repeated") += 1
@@ -125,14 +127,17 @@ class MonteCarloSpreadSpec extends SparkSpec {
           }
         }
         if (rootReachedFirst) covered("reached by another root") += 1
-        val got = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed, ws)
+        val base = ReachOracle.sum(h, roots, blocked, seed, r)
+        assert(MonteCarloSpread.reachSum(h, roots, blocked, seed, 0L, r) == base, s"graph $k, base, r = $r")
+        val (gotBase, got) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed, ws)
+        assert(gotBase == base, s"graph $k, base, stride $stride, r = $r, sets [$from, $until)")
         assert(got.toSeq == want, s"graph $k, stride $stride, r = $r, sets [$from, $until)")
-        val again = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed, ws)
-        assert(again.toSeq == want, s"reused workspace: graph $k, stride $stride, r = $r")
+        val (againBase, again) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed, ws)
+        assert(againBase == base && again.toSeq == want, s"reused workspace: graph $k, stride $stride, r = $r")
         assert(ws.dfn.forall(_ == -1), s"graph $k, r = $r")
       }
     }
-    for (kind <- Seq("root", "blocked", "off the support", "repeated", "reached by another root"))
+    for (kind <- Seq("root", "no root", "blocked", "off the support", "repeated", "reached by another root"))
       assert(covered(kind) >= 10, s"only ${covered(kind)} cases: $kind")
   }
 

@@ -73,4 +73,39 @@ class RngSpec extends AnyFunSuite {
     val us = (0 until 1000).map(Rng.edgeUniform(42L, _))
     assert(us.distinct.size == 1000)
   }
+
+  test("cutKeep decides every coin as edgeKeep does, prefix ties included") {
+    // The cases that sit on the rule's edges: p at the hash's own 53-bit
+    // value K and one ulp either side, p at its 32-bit prefix H (a cut tie)
+    // and at the next prefix and just below it, and common probabilities.
+    val rnd = new scala.util.Random(41)
+    val edges = 1 << 12
+    val cuts = new Array[Int](edges)
+    val probs = new Array[Double](edges)
+    var ties = 0
+    for (_ <- 0 until 50000) {
+      val seed = rnd.nextLong()
+      val e = rnd.nextInt(edges)
+      val k = (Rng.edgeUniform(seed, e) * 9007199254740992.0).toLong // K = hash >>> 11, exactly
+      val h = k >>> 21
+      val ps = Seq(k / 9007199254740992.0, h / 4294967296.0, (h + 1) / 4294967296.0)
+        .flatMap(p => Seq(p, math.nextUp(p), math.nextDown(p))) ++ Seq(0.0, 1.0, 0.1, 0.01, 0.001)
+      for (p <- ps if p >= 0.0 && p <= 1.0) {
+        cuts(e) = Rng.cut(p)
+        probs(e) = p
+        if ((cuts(e) & 0xffffffffL) == h) ties += 1
+        assert(Rng.cutKeep(seed, e, cuts, probs) == Rng.edgeKeep(seed, e, p), s"seed=$seed e=$e p=$p")
+      }
+    }
+    assert(ties >= 50000, s"only $ties cut ties")
+  }
+
+  test("cut is the unsigned floor of p times 2^32, all ones from p = 1") {
+    assert(Rng.cut(0.0) == 0)
+    assert(Rng.cut(math.pow(2, -32)) == 1)
+    assert(Rng.cut(math.nextDown(math.pow(2, -32))) == 0)
+    assert(Rng.cut(0.5) == Int.MinValue)
+    assert(Rng.cut(math.nextDown(1.0)) == -1)
+    assert(Rng.cut(1.0) == -1)
+  }
 }
