@@ -1,6 +1,7 @@
 package repro.exp
 
 import repro.graph.{ProbGraph, PropModels, SocialGraphGen}
+import repro.util.Rng
 import scala.util.Random
 
 /** Registry of the paper's 8 SNAP datasets (Table IV) and their synthetic
@@ -60,9 +61,8 @@ object Datasets {
     * draws over SNAP graphs virtually never hit one).
     */
   def randomSeeds(g: ProbGraph, count: Int, seed: Long): Set[Int] = {
-    val rnd = new Random(seed)
-    val pool = (0 until g.n).filter(g.outDegree(_) > 0)
-    require(pool.size >= count, s"not enough non-sink vertices for $count seeds")
-    rnd.shuffle(pool).take(count).toSet
+    val pool = java.util.stream.IntStream.range(0, g.n).filter(g.outDegree(_) > 0).toArray
+    require(pool.length >= count, s"not enough non-sink vertices for $count seeds")
+    Rng.shuffle(new Random(seed), pool).take(count).toSet
   }
 }

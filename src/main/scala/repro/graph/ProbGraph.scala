@@ -111,22 +111,42 @@ object ProbGraph {
     */
   def fromEdges(n: Int, edges: Iterable[(Int, Int, Double)]): ProbGraph = {
     val m = edges.size
-    val counts = new Array[Int](n + 1)
-    edges.foreach { case (u, v, p) =>
-      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range n=$n")
-      require(p >= 0.0 && p <= 1.0, s"probability $p outside [0,1] on ($u,$v)")
-      counts(u + 1) += 1
-    }
-    var i = 0
-    while (i < n) { counts(i + 1) += counts(i); i += 1 }
-    val offsets = counts.clone()
-    val targets = new Array[Int](m)
+    val src, dst = new Array[Int](m)
     val probs = new Array[Double](m)
-    val cursor = counts.clone()
-    edges.foreach { case (u, v, p) =>
-      val pos = cursor(u); cursor(u) += 1
-      targets(pos) = v; probs(pos) = p
+    var i = 0
+    edges.foreach { case (u, v, p) => src(i) = u; dst(i) = v; probs(i) = p; i += 1 }
+    fromArrays(n, m, src, dst, probs)
+  }
+
+  /** Build a CSR graph from the first `m` edges `(src(i), dst(i), probs(i))`,
+    * in any order; edges within a source keep their input order, so the
+    * construction is deterministic. Every graph's CSR is built here.
+    */
+  def fromArrays(n: Int, m: Int, src: Array[Int], dst: Array[Int], probs: Array[Double]): ProbGraph = {
+    require(m >= 0 && src.length >= m && dst.length >= m && probs.length >= m,
+      s"$m edges but src/dst/probs hold ${src.length}/${dst.length}/${probs.length}")
+    val offsets = new Array[Int](n + 1)
+    var i = 0
+    while (i < m) {
+      val u = src(i); val v = dst(i); val p = probs(i)
+      if (u < 0 || u >= n || v < 0 || v >= n)
+        throw new IllegalArgumentException(s"edge ($u,$v) out of range n=$n")
+      if (!(p >= 0.0 && p <= 1.0))
+        throw new IllegalArgumentException(s"probability $p outside [0,1] on ($u,$v)")
+      offsets(u + 1) += 1
+      i += 1
     }
-    new ProbGraph(n, offsets, targets, probs)
+    i = 0
+    while (i < n) { offsets(i + 1) += offsets(i); i += 1 }
+    val cursor = java.util.Arrays.copyOf(offsets, n)
+    val targets = new Array[Int](m)
+    val ps = new Array[Double](m)
+    i = 0
+    while (i < m) {
+      val pos = cursor(src(i)); cursor(src(i)) = pos + 1
+      targets(pos) = dst(i); ps(pos) = probs(i)
+      i += 1
+    }
+    new ProbGraph(n, offsets, targets, ps)
   }
 }

@@ -1,6 +1,7 @@
 package repro.imin
 
 import repro.graph.ProbGraph
+import repro.util.Rng
 import scala.util.Random
 
 /** The two simple baselines of the experiments (§VI-A): Rand (RA) and
@@ -10,19 +11,10 @@ object Heuristics {
 
   /** RA: `b` uniformly random distinct non-seed vertices, deterministic in
     * `seed`: the first `b` of `scala.util.Random.shuffle` over the non-seed
-    * ids, its swaps replayed on an `Int` array.
+    * ids, replayed on an `Int` array by [[Rng.shuffle]].
     */
-  def rand(g: ProbGraph, seeds: Set[Int], b: Int, seed: Long): Seq[Int] = {
-    val rnd = new Random(seed)
-    val pool = nonSeeds(g, seeds)
-    var k = pool.length
-    while (k >= 2) {
-      val j = rnd.nextInt(k)
-      val t = pool(k - 1); pool(k - 1) = pool(j); pool(j) = t
-      k -= 1
-    }
-    pool.take(b).toSeq
-  }
+  def rand(g: ProbGraph, seeds: Set[Int], b: Int, seed: Long): Seq[Int] =
+    Rng.shuffle(new Random(seed), nonSeeds(g, seeds)).take(b).toSeq
 
   /** OD: the `b` non-seed vertices with the highest out-degree (ties broken
     * by smallest id).
@@ -71,12 +63,6 @@ object Heuristics {
     */
   private def nonSeeds(g: ProbGraph, seeds: Set[Int]): Array[Int] = {
     val isSeed = Blocking.maskOf(g.n, Blocking.rootsOf(g, seeds))
-    val pool = Array.newBuilder[Int]
-    var v = 0
-    while (v < g.n) {
-      if (!isSeed(v)) pool += v
-      v += 1
-    }
-    pool.result()
+    java.util.stream.IntStream.range(0, g.n).filter(!isSeed(_)).toArray
   }
 }

@@ -58,4 +58,18 @@ object Rng {
     val c = cuts(edge) & 0xffffffffL
     h < c || (h == c && edgeKeep(sampleSeed, edge, probs(edge)))
   }
+
+  /** Shuffle `a` in place exactly as `scala.util.Random.shuffle` orders the
+    * same elements with the same `rnd`: swap(k − 1, rnd.nextInt(k)) for k
+    * from `a.length` down to 2. Returns `a`.
+    */
+  def shuffle(rnd: scala.util.Random, a: Array[Int]): Array[Int] = {
+    var k = a.length
+    while (k >= 2) {
+      val j = rnd.nextInt(k)
+      val t = a(k - 1); a(k - 1) = a(j); a(j) = t
+      k -= 1
+    }
+    a
+  }
 }

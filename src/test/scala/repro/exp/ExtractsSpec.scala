@@ -35,6 +35,12 @@ class ExtractsSpec extends AnyFunSuite {
     assert(sub.edgeTriples.toSet == expected)
   }
 
+  test("an extract larger than the graph is rejected") {
+    val e = intercept[IllegalArgumentException](Extracts.neighborhoodExtract(base, base.n + 1, 1L))
+    assert(e.getMessage.contains(s"cannot extract ${base.n + 1} of ${base.n} vertices"))
+    assert(Extracts.neighborhoodExtract(base, base.n, 1L)._1.n == base.n)
+  }
+
   test("edge probabilities are inherited") {
     val tr = repro.graph.PropModels.trivalency(base, 5L)
     val (sub, _) = Extracts.neighborhoodExtract(tr, 25, 5L)

@@ -82,6 +82,44 @@ class ProbGraphSpec extends SparkSpec {
     intercept[IllegalArgumentException](ProbGraph.fromEdges(2, Seq((0, 1, 1.5))))
   }
 
+  test("fromArrays builds the first m edges, keeping their order within a source") {
+    val src = Array(2, 0, 2, 0, 1, 9)
+    val dst = Array(0, 2, 1, 1, 2, 9)
+    val probs = Array(0.1, 0.2, 0.3, 0.4, 0.5, 9.0)
+    val g = ProbGraph.fromArrays(3, 5, src, dst, probs)
+    assert(g.edgeTriples == Seq((0, 2, 0.2), (0, 1, 0.4), (1, 2, 0.5), (2, 0, 0.1), (2, 1, 0.3)))
+    assert(g.offsets.toSeq == Seq(0, 2, 3, 5))
+    assert(ProbGraph.fromArrays(3, 0, src, dst, probs).m == 0)
+  }
+
+  test("fromArrays rejects an out-of-range vertex, a probability outside [0, 1], NaN and short arrays") {
+    val ok = Array(0, 1)
+    val p = Array(0.5, 0.5)
+    def reject(n: Int, m: Int, src: Array[Int], dst: Array[Int], probs: Array[Double], msg: String): Unit = {
+      val e = intercept[IllegalArgumentException](ProbGraph.fromArrays(n, m, src, dst, probs))
+      assert(e.getMessage.contains(msg), e.getMessage)
+    }
+    reject(2, 2, Array(0, 2), ok, p, "edge (2,1) out of range n=2")
+    reject(2, 2, ok, Array(-1, 0), p, "edge (0,-1) out of range n=2")
+    for (bad <- Seq(1.5, -0.1, Double.NaN, Double.PositiveInfinity))
+      reject(2, 2, ok, ok, Array(0.5, bad), s"probability $bad outside [0,1] on (1,1)")
+    reject(2, 3, ok, Array(0, 1, 0), Array(0.5, 0.5, 0.5), "3 edges but src/dst/probs hold 2/3/3")
+    reject(2, 3, Array(0, 1, 0), ok, Array(0.5, 0.5, 0.5), "3 edges but src/dst/probs hold 3/2/3")
+    reject(2, 3, Array(0, 1, 0), Array(0, 1, 0), p, "3 edges but src/dst/probs hold 3/3/2")
+    reject(2, -1, ok, ok, p, "-1 edges")
+  }
+
+  test("trivalency and weighted cascade equal their mapProbs forms on random graphs") {
+    val rnd = new scala.util.Random(4)
+    for (_ <- 1 to 30) {
+      val n = 1 + rnd.nextInt(40)
+      val g = ProbGraph.fromEdges(n, Seq.fill(rnd.nextInt(200))((rnd.nextInt(n), rnd.nextInt(n), rnd.nextDouble())))
+      val seed = rnd.nextLong()
+      assert(PropModels.trivalency(g, seed).probs.toSeq == BoxedGraphs.trivalency(g, seed).probs.toSeq)
+      assert(PropModels.weightedCascade(g).probs.toSeq == BoxedGraphs.weightedCascade(g).probs.toSeq)
+    }
+  }
+
   test("toDF rows are the edge triples") {
     val g = diamond
     val df = g.toDF(spark)

@@ -108,4 +108,14 @@ class RngSpec extends AnyFunSuite {
     assert(Rng.cut(math.nextDown(1.0)) == -1)
     assert(Rng.cut(1.0) == -1)
   }
+
+  test("shuffle replays scala.util.Random.shuffle on an Int array") {
+    for (len <- Seq(0, 1, 2, 3, 1000); seed <- 1L to 5L) {
+      val want = new scala.util.Random(seed).shuffle((0 until len).toVector)
+      val rnd = new scala.util.Random(seed)
+      assert(Rng.shuffle(rnd, Array.range(0, len)).toSeq == want, s"length $len, seed $seed")
+      // The same draws were consumed: the streams continue alike.
+      assert(rnd.nextLong() == { val r = new scala.util.Random(seed); r.shuffle((0 until len).toVector); r.nextLong() })
+    }
+  }
 }
