@@ -19,7 +19,7 @@ class EfficiencyBench extends SparkSpec {
     val spec = Datasets.byName("Wiki-Vote")
     val g = Datasets.withModel(spec.graph, "WC", spec.seed)
     val seeds = Datasets.randomSeeds(g, 10, 5L)
-    val roots = seeds.toArray.sorted
+    val roots = Blocking.rootsOf(g, seeds)
     val b = 5
     val samples = 1000 // r for BG, theta for AG — the paper's r = theta setting
 

@@ -109,7 +109,7 @@ object Tables {
           Fmt.timed(GreedyReplace.run(spark, sub, seeds, b, 300,
             Rng.splitmix64(masterSeed + 2000 + i)))
         val grSpread = MonteCarloSpread.spreadWithBlockers(
-          spark, sub, seeds.toArray.sorted, grBlockers, thetaEval, evalSeed)
+          spark, sub, Blocking.rootsOf(sub, seeds), grBlockers, thetaEval, evalSeed)
         exS += exSpread; grS += grSpread; exT += exSecs; grT += grSecs
       }
       val k = extracts.size
@@ -137,7 +137,7 @@ object Tables {
     val masterSeed = 77L
     val g = Datasets.withModel(spec.graph, model, spec.seed)
     val seeds = Datasets.randomSeeds(g, nSeeds, masterSeed + spec.seed)
-    val roots = seeds.toArray.sorted
+    val roots = Blocking.rootsOf(g, seeds)
     val evalSeed = Rng.splitmix64(masterSeed ^ spec.seed)
 
     def eval(blockers: Seq[Int]): Double =

@@ -4,8 +4,6 @@ import org.apache.spark.sql.SparkSession
 import repro.Execution
 import repro.graph.ProbGraph
 import repro.sampling.DeltaEstimator
-import repro.util.Rng
-import scala.collection.mutable.ArrayBuffer
 
 /** AdvancedGreedy (Algorithm 3 of the paper): in each of the `b` rounds,
   * estimate the spread decrease of *every* candidate blocker at once with
@@ -48,7 +46,7 @@ object AdvancedGreedy {
   }
 
   /** AG's rounds on `g` from `seeds`, on the driver (`cluster = None`) or
-    * as one Spark job per round.
+    * as one Spark job per round: non-seeds priced by Δ, while one gains.
     */
   private[imin] def select(
       cluster: Option[SparkSession],
@@ -57,22 +55,11 @@ object AdvancedGreedy {
       budgets: Seq[Int],
       theta: Int,
       masterSeed: Long): Map[Int, Seq[Int]] = {
-    val b = budgets.max
     val roots = Blocking.rootsOf(g, seeds)
-    val isSeed = Blocking.maskOf(g.n, roots)
+    val nonSeed = Blocking.maskOf(g.n, roots).map(!_)
     val blocked = new Array[Boolean](g.n)
-    val order = ArrayBuffer.empty[Int]
-
-    var i = 0
-    var exhausted = false
-    while (i < b && !exhausted) {
-      val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val delta = DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed)
-      val x = Blocking.argmaxDelta(delta, v => !blocked(v) && !isSeed(v))
-      if (x < 0 || delta(x) <= 0.0) exhausted = true // nothing left to gain
-      else { blocked(x) = true; order += x }
-      i += 1
-    }
+    val order = Blocking.greedy(budgets.max, masterSeed, nonSeed, blocked, whileGain = true)(
+      DeltaEstimator.estimate(cluster, g, roots, blocked, theta, _))
     budgets.map(k => k -> order.take(k).toSeq).toMap
   }
 }

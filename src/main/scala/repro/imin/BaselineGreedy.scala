@@ -5,8 +5,7 @@ import repro.Execution
 import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.spread.MonteCarloSpread
-import repro.util.Rng
-import scala.collection.mutable.ArrayBuffer
+import java.util.stream.IntStream
 
 /** BaselineGreedy (Algorithm 1) — the state of the art the paper compares
   * against [2], [8]: in every round, re-estimate the expected spread of
@@ -38,53 +37,29 @@ object BaselineGreedy {
       seeds: Set[Int],
       b: Int,
       r: Int,
-      masterSeed: Long): Seq[Int] = {
+      masterSeed: Long): Seq[Int] =
+    select(g, seeds, b, r, masterSeed)(Execution.cluster(spark, g, _))
+
+  /** BG's rounds on `g` from `seeds`: the non-seeds the seeds reach,
+    * priced by base − sum = r·Δ, while one gains. The sweeps run where
+    * `cluster` places the first round's candidates × r traversals.
+    */
+  private[imin] def select(g: ProbGraph, seeds: Set[Int], b: Int, r: Int, masterSeed: Long)(
+      cluster: Double => Option[SparkSession]): Seq[Int] = {
     require(b >= 1 && r >= 1, "b and r must be positive")
     val roots = Blocking.rootsOf(g, seeds)
-    val isSeed = Blocking.maskOf(g.n, roots)
+    val allowed = Blocking.support(g, roots)
+    roots.foreach(allowed(_) = false)
     val blocked = new Array[Boolean](g.n)
-    val order = ArrayBuffer.empty[Int]
-
-    val support = Blocking.support(g, roots)
-
-    def candidatesLeft(): Array[Int] = {
-      val left = Array.newBuilder[Int]
-      var v = 0
-      while (v < g.n) {
-        if (support(v) && !blocked(v) && !isSeed(v)) left += v
-        v += 1
-      }
-      left.result()
-    }
-    var candidates = candidatesLeft()
     // Later rounds sweep fewer candidates than the first.
-    val cluster = Execution.cluster(spark, g, candidates.length.toDouble * r)
-
-    var i = 0
-    var exhausted = false
-    while (i < b && !exhausted) {
-      val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      if (candidates.isEmpty) exhausted = true
-      else {
-        val (base, sums) = sweep(cluster, g, roots, blocked, candidates, r, roundSeed)
-        // Max decrease == min spread; candidates ascend, so the first
-        // minimum breaks ties by smallest id.
-        var best = 0
-        var k = 1
-        while (k < candidates.length) {
-          if (sums(k) < sums(best)) best = k
-          k += 1
-        }
-        if (base - sums(best) <= 0L) exhausted = true
-        else {
-          blocked(candidates(best)) = true
-          order += candidates(best)
-          candidates = candidatesLeft()
-        }
-      }
-      i += 1
-    }
-    order.toSeq
+    val where = cluster(allowed.count(identity).toDouble * r)
+    Blocking.greedy(b, masterSeed, allowed, blocked, whileGain = true) { roundSeed =>
+      val candidates = IntStream.range(0, g.n).filter(v => allowed(v) && !blocked(v)).toArray
+      val (base, sums) = sweep(where, g, roots, blocked, candidates, r, roundSeed)
+      val delta = new Array[Double](g.n)
+      candidates.indices.foreach(k => delta(candidates(k)) = (base - sums(k)).toDouble)
+      delta
+    }.toSeq
   }
 
   /** One round's sweep: the round's base, the total reach count over its

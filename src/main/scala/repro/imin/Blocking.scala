@@ -2,6 +2,9 @@ package repro.imin
 
 import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
+import repro.util.Rng
+import java.util.stream.IntStream
+import scala.collection.mutable.ArrayBuffer
 
 /** Shared plumbing for the blocker-selection algorithms. */
 object Blocking {
@@ -24,17 +27,22 @@ object Blocking {
     support
   }
 
-  /** Deterministic argmax of `delta` over vertices satisfying `allowed`:
-    * largest delta, ties broken by smallest id; -1 when nothing is allowed.
+  /** One greedy round's choice: the unblocked `allowed` vertex of largest
+    * decrease `delta`, smallest id on ties; -1 when none is left or, with
+    * `whileGain`, when the best decrease is not positive.
     */
-  def argmaxDelta(delta: Array[Double], allowed: Int => Boolean): Int = {
+  private[imin] def argmaxDelta(
+      delta: Array[Double],
+      allowed: Array[Boolean],
+      blocked: Array[Boolean],
+      whileGain: Boolean): Int = {
     var best = -1
     var v = 0
     while (v < delta.length) {
-      if (allowed(v) && (best == -1 || delta(v) > delta(best))) best = v
+      if (allowed(v) && !blocked(v) && (best == -1 || delta(v) > delta(best))) best = v
       v += 1
     }
-    best
+    if (best >= 0 && whileGain && delta(best) <= 0.0) -1 else best
   }
 
   /** The seed set as a sorted root array, checked against `g`. */
@@ -42,5 +50,28 @@ object Blocking {
     require(seeds.nonEmpty, "seed set must be non-empty")
     seeds.foreach(s => require(s >= 0 && s < g.n, s"seed $s out of range"))
     seeds.toArray.sorted
+  }
+
+  /** The greedy rounds of BG, AG and GR's first phase (Algs. 1, 3 and 4):
+    * round i prices the vertices with `decrease(splitmix64(masterSeed ^
+    * (i + 1)))` and blocks their [[argmaxDelta]] in `blocked`, until
+    * `rounds` are blocked, no allowed vertex is left to price, or the choice
+    * is -1. Returns the blockers in insertion order.
+    */
+  private[imin] def greedy(
+      rounds: Int,
+      masterSeed: Long,
+      allowed: Array[Boolean],
+      blocked: Array[Boolean],
+      whileGain: Boolean)(decrease: Long => Array[Double]): ArrayBuffer[Int] = {
+    val order = ArrayBuffer.empty[Int]
+    var x = 0
+    while (order.length < rounds && x >= 0) {
+      x =
+        if (!IntStream.range(0, allowed.length).anyMatch(v => allowed(v) && !blocked(v))) -1
+        else argmaxDelta(decrease(Rng.splitmix64(masterSeed ^ (order.length + 1).toLong)), allowed, blocked, whileGain)
+      if (x >= 0) { blocked(x) = true; order += x }
+    }
+    order
   }
 }

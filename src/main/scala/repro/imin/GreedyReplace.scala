@@ -11,7 +11,8 @@ import scala.collection.mutable.ArrayBuffer
   * blockers *among the out-neighbors of the seed*, then walk the blockers in
   * reverse insertion order, tentatively un-blocking each and re-blocking the
   * globally best candidate instead; stop replacing the moment the removed
-  * blocker is itself the best candidate (early termination, Lines 18–20).
+  * blocker is itself the best candidate (early termination, Lines 18–20),
+  * or, keeping it, when no candidate decreases the spread.
   *
   * The out-neighbors-first phase captures the observation that with an
   * unlimited budget the optimal solution blocks exactly the seed's
@@ -31,7 +32,7 @@ object GreedyReplace {
       b: Int,
       theta: Int,
       masterSeed: Long): Seq[Int] =
-    select(Execution.cluster(spark, g, theta), g, seeds, b, theta, masterSeed, replace = true)
+    select(Execution.cluster(spark, g, theta), g, seeds, b, theta, masterSeed)
 
   /** Phase 1 only — the "OutNeighbors" heuristic of Example 3 / Table III:
     * greedily block up to `b` out-neighbors of the seed and stop.
@@ -43,7 +44,7 @@ object GreedyReplace {
       b: Int,
       theta: Int,
       masterSeed: Long): Seq[Int] =
-    select(Execution.cluster(spark, g, theta), g, seeds, b, theta, masterSeed, replace = false)
+    outNeighbors(Execution.cluster(spark, g, theta), g, Blocking.rootsOf(g, seeds), b, theta, masterSeed).toSeq
 
   /** Phase 1's candidate blockers (Line 1): the out-neighbors of the
     * unified seed, i.e. the non-seed targets of the seeds' `p > 0` edges.
@@ -55,6 +56,24 @@ object GreedyReplace {
       if g.probs(e) > 0.0 && !seeds.contains(g.targets(e))
     } yield g.targets(e)).toSet
 
+  /** Phase 1 (Lines 1-10): greedy rounds over CB until `b` are blocked or
+    * CB is exhausted. A zero-Δ out-neighbor is still taken, as in "first
+    * select b out-neighbors".
+    */
+  private[imin] def outNeighbors(
+      cluster: Option[SparkSession],
+      g: ProbGraph,
+      roots: Array[Int],
+      b: Int,
+      theta: Int,
+      masterSeed: Long): ArrayBuffer[Int] = {
+    require(b >= 1, "budget must be positive")
+    val blocked = new Array[Boolean](g.n)
+    val cb = Blocking.maskOf(g.n, seedOutNeighbors(g, roots.toSet))
+    Blocking.greedy(b, masterSeed, cb, blocked, whileGain = false)(
+      DeltaEstimator.estimate(cluster, g, roots, blocked, theta, _))
+  }
+
   /** GR's rounds on `g` from `seeds`, on the driver (`cluster = None`) or
     * as one Spark job per round.
     */
@@ -64,50 +83,28 @@ object GreedyReplace {
       seeds: Set[Int],
       b: Int,
       theta: Int,
-      masterSeed: Long,
-      replace: Boolean): Seq[Int] = {
-    require(b >= 1, "budget must be positive")
+      masterSeed: Long): Seq[Int] = {
     val roots = Blocking.rootsOf(g, seeds)
-    val isSeed = Blocking.maskOf(g.n, roots)
+    val order = outNeighbors(cluster, g, roots, b, theta, masterSeed)
+    val blocked = Blocking.maskOf(g.n, order)
+    val nonSeed = Blocking.maskOf(g.n, roots).map(!_)
 
-    def deltasOf(blocked: Array[Boolean], roundSeed: Long): Array[Double] =
-      DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed)
-
-    val cb = seedOutNeighbors(g, seeds)
-    val inCb = Blocking.maskOf(g.n, cb)
-    val blocked = new Array[Boolean](g.n)
-    val order = ArrayBuffer.empty[Int]
-
-    // Phase 1 (Lines 3-10): min(d_out, b) greedy rounds restricted to CB.
-    val rounds = math.min(cb.size, b)
-    var i = 0
-    while (i < rounds) {
-      val delta = deltasOf(blocked, Rng.splitmix64(masterSeed ^ (i + 1).toLong))
-      val x = Blocking.argmaxDelta(delta, v => inCb(v) && !blocked(v))
-      // x >= 0 because |CB| >= rounds; zero-delta out-neighbors are still
-      // taken, mirroring "first select b out-neighbors". A taken x stays in
-      // CB but is blocked.
-      blocked(x) = true
-      order += x
-      i += 1
-    }
-
-    if (replace) {
-      // Phase 2 (Lines 11-20): reverse-order replacement with early exit.
-      var j = order.length - 1
-      var break = false
-      while (j >= 0 && !break) {
-        val u = order(j)
-        blocked(u) = false
-        order.remove(j)
-        val delta = deltasOf(blocked, Rng.splitmix64(masterSeed ^ 0x5deece66dL ^ (j + 1).toLong))
-        val x = Blocking.argmaxDelta(delta, v => !blocked(v) && !isSeed(v))
-        val pick = if (x >= 0) x else u
-        blocked(pick) = true
-        order += pick
-        if (pick == u) break = true // Lines 18-20
-        j -= 1
-      }
+    // Phase 2 (Lines 11-20): reverse-order replacement. It stops once the
+    // removed blocker u is kept: picked again (Lines 18-20), or because no
+    // vertex decreases the spread (u is unreached in every world).
+    var j = order.length - 1
+    var replaced = true
+    while (j >= 0 && replaced) {
+      val u = order.remove(j)
+      blocked(u) = false
+      val delta = DeltaEstimator.estimate(cluster, g, roots, blocked, theta,
+        Rng.splitmix64(masterSeed ^ 0x5deece66dL ^ (j + 1).toLong))
+      val x = Blocking.argmaxDelta(delta, nonSeed, blocked, whileGain = true)
+      val pick = if (x >= 0) x else u
+      blocked(pick) = true
+      order += pick
+      replaced = pick != u
+      j -= 1
     }
     order.toSeq
   }

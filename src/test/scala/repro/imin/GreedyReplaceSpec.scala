@@ -49,8 +49,8 @@ class GreedyReplaceSpec extends SparkSpec {
   }
 
   test("distributed run equals local run") {
-    val a = GreedyReplace.select(None, g, seeds, 2, 1000, 8L, replace = true)
-    val b = GreedyReplace.select(Some(spark), g, seeds, 2, 1000, 8L, replace = true)
+    val a = GreedyReplace.select(None, g, seeds, 2, 1000, 8L)
+    val b = GreedyReplace.select(Some(spark), g, seeds, 2, 1000, 8L)
     assert(a == b)
     assert(a == GreedyReplace.run(spark, g, seeds, 2, 1000, 8L))
   }
@@ -69,6 +69,14 @@ class GreedyReplaceSpec extends SparkSpec {
     val gr = GreedyReplace.run(spark, h, Set(0), 2, 500, 10L)
     val on = GreedyReplace.outNeighborsOnly(spark, h, Set(0), 2, 500, 10L)
     assert(gr.toSet == on.toSet)
+  }
+
+  test("replacement keeps the removed blocker when no vertex decreases the spread") {
+    // Over 100 worlds the p = 1e-9 edge is never live, so once 3 is
+    // unblocked every Δ is 0: GR keeps 3 and stops (the x = u exit of
+    // Alg. 4) instead of trading it for the isolated vertex 2.
+    val h = ProbGraph.fromEdges(4, Seq((0, 1, 1.0), (0, 3, 1e-9)))
+    assert(GreedyReplace.run(spark, h, Set(0), 2, 100, 1L).toSet == Set(1, 3))
   }
 
   test("replacement escapes the out-neighbor set when a deeper bottleneck is better") {

@@ -60,8 +60,8 @@ class IminIntegrationSpec extends SparkSpec {
   }
 
   test("distributed GR equals local GR on a generated dataset") {
-    val a = GreedyReplace.select(None, gWC, seeds, 3, 100, 7L, replace = true)
-    val b = GreedyReplace.select(Some(spark), gWC, seeds, 3, 100, 7L, replace = true)
+    val a = GreedyReplace.select(None, gWC, seeds, 3, 100, 7L)
+    val b = GreedyReplace.select(Some(spark), gWC, seeds, 3, 100, 7L)
     assert(a == b)
     assert(a == GreedyReplace.run(spark, gWC, seeds, 3, 100, 7L))
   }
