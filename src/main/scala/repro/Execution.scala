@@ -11,10 +11,10 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Every sampled-world kernel is a fold of independent work items into one
   * sum over a graph: AG/GR's rounds (`DeltaEstimator.estimate`, θ worlds),
-  * MCS (`MonteCarloSpread.spread`, r worlds), BG's candidate sweep
-  * (candidates) and Exact's combination sweep (combination indices). Each
-  * writes that fold once, over a contiguous slice of item ids, and [[run]]
-  * executes it on the driver or over Spark. Worlds are keyed by
+  * MCS and BG's rounds (`MonteCarloSpread.sums`, r worlds) and Exact's
+  * combination sweep (combination indices). Each writes that fold once,
+  * over a contiguous slice of item ids, and [[run]] executes it on the
+  * driver or over Spark. Worlds are keyed by
   * `Rng.sampleSeed`, so both give identical results; only their cost
   * differs. Over Spark the graph is broadcast once per Spark context and
   * graph object and reused by every later job on it; a job ships only its

@@ -2,7 +2,6 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.Execution
-import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.spread.MonteCarloSpread
 import java.util.stream.IntStream
@@ -16,19 +15,18 @@ import java.util.stream.IntStream
   * BG samples AG's worlds: the seeds are the roots and the blockers a mask
   * on the original graph, and all candidates in a round share its `r`
   * worlds (common random numbers). So with θ = r a candidate's decrease is
-  * r × its AG Δ (Theorem 6), and BG picks AG's blocker (§V-C). What the
-  * candidates share is each world's live subgraph: a sweep walks a world
-  * once from the seeds with the round's blockers, which also counts the
-  * round's base spread, and keeps the live edges among the vertices it
-  * reaches and the seeds' live successors
-  * ([[repro.spread.MonteCarloSpread.sweepSums]]). What stays per candidate
-  * is every traversal: each candidate × world is its own walk on that
-  * subgraph from the seeds' successors, as in Alg. 1.
+  * r × its AG Δ (Theorem 6), and BG picks AG's blocker (§V-C). A round is
+  * one MCS evaluation with a blocker set per candidate
+  * ([[repro.spread.MonteCarloSpread.sums]]): the candidates share each
+  * world's live subgraph, which one walk from the seeds with the round's
+  * blockers finds while it counts the round's base spread. What stays per
+  * candidate is every traversal: each candidate × world is its own walk on
+  * that subgraph from the seeds' successors, as in Alg. 1.
   */
 object BaselineGreedy {
 
-  /** Run BG and return the blocker insertion order. A round's candidate
-    * sweep runs on the driver or as one Spark job, as [[repro.Execution]]
+  /** Run BG and return the blocker insertion order. A round runs on the
+    * driver or as one Spark job over its r worlds, as [[repro.Execution]]
     * decides once for the run from the first round's candidates × r.
     */
   def run(
@@ -41,7 +39,7 @@ object BaselineGreedy {
     select(g, seeds, b, r, masterSeed)(Execution.cluster(spark, g, _))
 
   /** BG's rounds on `g` from `seeds`: the non-seeds the seeds reach,
-    * priced by base − sum = r·Δ, while one gains. The sweeps run where
+    * priced by base − sum = r·Δ, while one gains. Every round runs where
     * `cluster` places the first round's candidates × r traversals.
     */
   private[imin] def select(g: ProbGraph, seeds: Set[Int], b: Int, r: Int, masterSeed: Long)(
@@ -49,37 +47,15 @@ object BaselineGreedy {
     require(b >= 1 && r >= 1, "b and r must be positive")
     val roots = Blocking.rootsOf(g, seeds)
     val allowed = Blocking.support(g, roots)
-    roots.foreach(allowed(_) = false)
     val blocked = new Array[Boolean](g.n)
     // Later rounds sweep fewer candidates than the first.
     val where = cluster(allowed.count(identity).toDouble * r)
     Blocking.greedy(b, masterSeed, allowed, blocked, whileGain = true) { roundSeed =>
       val candidates = IntStream.range(0, g.n).filter(v => allowed(v) && !blocked(v)).toArray
-      val (base, sums) = sweep(where, g, roots, blocked, candidates, r, roundSeed)
+      val (base, sums) = MonteCarloSpread.sums(where, g, roots, blocked, candidates, 1, r, roundSeed)
       val delta = new Array[Double](g.n)
       candidates.indices.foreach(k => delta(candidates(k)) = (base - sums(k)).toDouble)
       delta
     }.toSeq
   }
-
-  /** One round's sweep: the round's base, the total reach count over its
-    * `r` worlds with `blocked` alone, and that total with each candidate
-    * blocked in turn, in candidate order, on the driver (`cluster = None`)
-    * or as one Spark job (one task sweeps a slice of the candidates and
-    * counts the base on the way; the slices' sums are concatenated in slice
-    * order).
-    */
-  private[repro] def sweep(
-      cluster: Option[SparkSession],
-      g: ProbGraph,
-      roots: Array[Int],
-      blocked: Array[Boolean],
-      candidates: Array[Int],
-      r: Int,
-      roundSeed: Long): (Long, Array[Long]) =
-    Execution.run(cluster, g, (roots, blocked, candidates), candidates.length) {
-      case (g, (roots, blocked, candidates), from, until) =>
-        MonteCarloSpread.sweepSums(g, roots, blocked, candidates, 1, from.toInt, until.toInt, r, roundSeed,
-          new DominatorTree.Workspace(g.n))
-    } { case ((base, a), (_, b)) => (base, a ++ b) }
 }

@@ -16,14 +16,15 @@ object Blocking {
     mask
   }
 
-  /** Vertices reachable from `roots` over positive-probability edges: the
-    * only vertices whose blocking can decrease the spread.
+  /** The non-root vertices reachable from `roots` over positive-probability
+    * edges: the only vertices whose blocking can decrease the spread.
     */
   def support(g: ProbGraph, roots: Array[Int]): Array[Boolean] = {
     val ws = new DominatorTree.Workspace(g.n)
     val count = DominatorTree.walk(g, roots, null, e => g.probs(e) > 0.0, ws)
     val support = new Array[Boolean](g.n)
     (1 to count).foreach(d => support(ws.vertexOf(d)) = true)
+    roots.foreach(support(_) = false)
     support
   }
 

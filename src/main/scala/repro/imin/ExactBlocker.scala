@@ -5,6 +5,7 @@ import repro.Execution
 import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.spread.MonteCarloSpread
+import java.util.stream.IntStream
 
 /** The Exact baseline of §VI-A: enumerate *every* blocker set of size `b`
   * and keep the one with the smallest expected spread.
@@ -15,7 +16,7 @@ import repro.spread.MonteCarloSpread
   * sampled measure, mirroring the paper's exact-spread evaluation [39] of
   * its small extracts. The `C(candidates, b)` combinations are unranked
   * combinatorially, so one combination index names one blocker set. They
-  * are evaluated world-major, by BG's sweep kernel
+  * are evaluated world-major, by the Monte-Carlo kernel of MCS and BG
   * ([[repro.spread.MonteCarloSpread.sweepSums]]): each world's live
   * subgraph is built once per chunk of combinations, and every
   * combination × world is still its own walk on it.
@@ -86,7 +87,7 @@ object ExactBlocker {
     require(b >= 1 && thetaEval >= 1, "b and thetaEval must be positive")
     val roots = Blocking.rootsOf(g, seeds)
     val support = Blocking.support(g, roots)
-    val candidates = (0 until g.n).filter(v => support(v) && !seeds.contains(v)).toArray
+    val candidates = IntStream.range(0, g.n).filter(support(_)).toArray
     val bEff = math.min(b, candidates.length)
     require(bEff >= 1, "no blockable candidate is reachable from the seeds")
     val nCombos = choose(candidates.length, bEff)
@@ -143,7 +144,7 @@ object ExactBlocker {
             nextCombination(pos)
             s += 1
           }
-          val (_, sums) = MonteCarloSpread.sweepSums(g, roots, null, sets, b, 0, k, thetaEval, masterSeed, ws)
+          val (_, sums) = MonteCarloSpread.sweepSums(g, roots, null, sets, b, k, 0, thetaEval, masterSeed, ws)
           s = 0
           while (s < k) {
             if (sums(s) < best._1) best = (sums(s), idx + s) // ids ascend: a tie keeps the smaller index

@@ -7,7 +7,6 @@ import org.apache.spark.sql.SparkSession
 import org.apache.spark.storage.BroadcastBlockId
 import repro.exp.Datasets
 import repro.graph.{ProbGraph, PropModels, SocialGraphGen}
-import repro.imin.BaselineGreedy
 import repro.sampling.DeltaEstimator
 import repro.spread.MonteCarloSpread
 import scala.collection.mutable
@@ -136,11 +135,12 @@ class ExecutionSpec extends SparkSpec {
     val candidates = (3 until 40).toArray
     val sc = spark.sparkContext
     val counts = Seq(1, sc.defaultParallelism - 1).filter(_ >= 1).distinct
+    // A BG round's job slices its r worlds, as MCS does.
     def deltaMcsSweep(cluster: Option[SparkSession], count: Int) = (
       DeltaEstimator.estimate(cluster, g, Array(0, 1), blocked, count, 5L).toSeq,
       MonteCarloSpread.spread(cluster, g, Array(0, 1), count, 5L, blocked),
       {
-        val (base, sums) = BaselineGreedy.sweep(cluster, g, Array(0, 1), blocked, candidates.take(count), 50, 5L)
+        val (base, sums) = MonteCarloSpread.sums(cluster, g, Array(0, 1), blocked, candidates, 1, count, 5L)
         (base, sums.toSeq)
       })
     val jobs = new JobStarts

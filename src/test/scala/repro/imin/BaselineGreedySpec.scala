@@ -95,13 +95,14 @@ class BaselineGreedySpec extends SparkSpec {
       for (i <- 0 to order.size) {
         val blocked = Blocking.maskOf(graph.n, order.take(i))
         val candidates = (0 until graph.n).filter(v => !graphSeeds(v) && !blocked(v)).toArray
-        // One candidate leaves all but one of the job's slices empty.
-        for (cs <- Seq(candidates, candidates.take(1))) {
+        // A round's job slices its r worlds: r below the slice count leaves
+        // some slices empty.
+        for (r <- Seq(1000, 1, spark.sparkContext.defaultParallelism - 1).filter(_ >= 1).distinct) {
           def sweep(cluster: Option[SparkSession]) =
-            BaselineGreedy.sweep(cluster, graph, roots, blocked, cs, 1000, 6L + i)
+            MonteCarloSpread.sums(cluster, graph, roots, blocked, candidates, 1, r, 6L + i)
           val ((localBase, local), (distBase, dist)) = (sweep(None), sweep(Some(spark)))
-          assert(local.length == cs.length && local.sameElements(dist), s"round ${i + 1}, ${cs.length} candidates")
-          assert(localBase == distBase, s"round ${i + 1} base, ${cs.length} candidates")
+          assert(local.length == candidates.length && local.sameElements(dist), s"round ${i + 1}, r = $r")
+          assert(localBase == distBase, s"round ${i + 1} base, r = $r")
         }
       }
     }
@@ -131,10 +132,10 @@ class BaselineGreedySpec extends SparkSpec {
       if (candidates.isEmpty) exhausted = true
       else {
         val sums = candidates.map(u => u -> spreadSum(u)).toMap
-        // BG's own round base and sweep count the same sums.
+        // BG's own round base and sweep, and MCS, count the same sums.
         val base = spreadSum(-1)
-        assert(MonteCarloSpread.reachSum(h, roots, blocked, roundSeed, 0L, r) == base, s"round ${i + 1} base")
-        val (bgBase, bgSums) = BaselineGreedy.sweep(None, h, roots, blocked, candidates.toArray, r, roundSeed)
+        assert(MonteCarloSpread.spreadLocal(h, roots, r, roundSeed, blocked) == base.toDouble / r, s"round ${i + 1} MCS")
+        val (bgBase, bgSums) = MonteCarloSpread.sums(None, h, roots, blocked, candidates.toArray, 1, r, roundSeed)
         assert(bgBase == base, s"round ${i + 1} sweep base")
         assert(bgSums.toSeq == candidates.map(sums), s"round ${i + 1} sweep")
         val x = candidates.minBy(u => (sums(u), u))

@@ -5,6 +5,7 @@ import repro.SparkSpec
 import repro.exp.Datasets
 import repro.graph.ProbGraph
 import repro.sampling.DeltaEstimator
+import repro.spread.MonteCarloSpread
 import repro.util.Rng
 import scala.collection.mutable.ArrayBuffer
 
@@ -141,7 +142,7 @@ object HandLoops {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
       if (candidates.isEmpty) exhausted = true
       else {
-        val (base, sums) = BaselineGreedy.sweep(cluster, g, roots, blocked, candidates, r, roundSeed)
+        val (base, sums) = MonteCarloSpread.sums(cluster, g, roots, blocked, candidates, 1, r, roundSeed)
         // Max decrease == min spread; candidates ascend, so the first
         // minimum breaks ties by smallest id.
         var best = 0

@@ -33,8 +33,7 @@ object ReachOracle {
     reach(g, roots, blocked, GraphSampler.liveEdge(g, sampleSeed))
 
   /** Total reach count over the worlds `0 until r` keyed by `masterSeed`:
-    * what `MonteCarloSpread.reachSum(g, roots, blocked, masterSeed, 0, r)`
-    * must return.
+    * the base `MonteCarloSpread.sweepSums` must return over those worlds.
     */
   def sum(g: ProbGraph, roots: Iterable[Int], blocked: Array[Boolean], masterSeed: Long, r: Int): Long =
     (0 until r).map(i => world(g, roots, blocked, Rng.sampleSeed(masterSeed, i)).size.toLong).sum

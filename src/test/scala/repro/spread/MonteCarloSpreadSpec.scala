@@ -73,12 +73,14 @@ class MonteCarloSpreadSpec extends SparkSpec {
     assert(MonteCarloSpread.spreadLocal(h, Array(0, 1), 10, 15L) == 4.0)
   }
 
-  test("sweepSums equals reachSum with each candidate added to the mask") {
-    // Blocker sets of stride 1 to 4 whose members may be roots, blocked,
-    // off the support or repeated, on graphs with duplicate edges.
+  test("sweepSums over world ranges equals the reach oracle per set") {
+    // The first k blocker sets of stride 1 to 4, whose members may be
+    // blocked, off the support or repeated, on graphs with duplicate edges,
+    // swept over [0, r) and over [0, a) then [a, r); a set holding a root
+    // is rejected.
     val rnd = new Random(17)
     val covered = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
-    for (k <- 0 until 120) {
+    for (graph <- 0 until 120) {
       val n = 2 + rnd.nextInt(30)
       // Certain, impossible and uncertain edges; about a quarter of them twice.
       val drawn = Seq.fill(rnd.nextInt(4 * n)) {
@@ -88,21 +90,18 @@ class MonteCarloSpreadSpec extends SparkSpec {
       val edges = rnd.shuffle(drawn ++ drawn.filter(_ => rnd.nextInt(4) == 0))
       val h = ProbGraph.fromEdges(n, edges)
       val roots = Array.fill(1 + rnd.nextInt(3))(rnd.nextInt(n)).distinct.sorted
-      val blocked = if (k % 10 == 0) null else Array.fill(n)(rnd.nextInt(5) == 0)
-      val stride = 1 + k % 4
-      // Stride 1: every vertex once, in random order (BG's candidates);
-      // wider: random vertices, so members repeat within a set.
+      val others = (0 until n).filterNot(roots.contains).toVector
+      val blocked = if (graph % 10 == 0) null else Array.fill(n)(rnd.nextInt(5) == 0)
+      val stride = 1 + graph % 4
+      // Stride 1: every non-root once, in random order (BG's candidates);
+      // wider: random non-roots, so members repeat within a set.
       val sets =
-        if (stride == 1) rnd.shuffle((0 until n).toVector).toArray
-        else Array.fill(stride * rnd.nextInt(2 * n + 1))(rnd.nextInt(n))
-      val nSets = sets.length / stride
-      val from = rnd.nextInt(nSets + 1)
-      val until = from + rnd.nextInt(nSets - from + 1)
+        if (stride == 1) rnd.shuffle(others).toArray
+        else if (others.isEmpty) Array.emptyIntArray
+        else Array.fill(stride * rnd.nextInt(2 * n + 1))(others(rnd.nextInt(others.length)))
+      val k = rnd.nextInt(sets.length / stride + 1)
       val support = Blocking.support(h, roots)
-      for (i <- from until until; set = sets.slice(i * stride, (i + 1) * stride)) {
-        // A set with a root member starts at the other roots, any other
-        // set at the roots' live successors.
-        if (set.exists(roots.contains)) covered("root") += 1 else covered("no root") += 1
+      for (i <- 0 until k; set = sets.slice(i * stride, (i + 1) * stride)) {
         if (blocked != null && set.exists(blocked)) covered("blocked") += 1
         if (set.exists(!support(_))) covered("off the support") += 1
         if (set.distinct.length < stride) covered("repeated") += 1
@@ -110,16 +109,14 @@ class MonteCarloSpreadSpec extends SparkSpec {
       val ws = new DominatorTree.Workspace(n)
       for (r <- Seq(1, 7, 100)) {
         val seed = rnd.nextLong()
-        // Each set's sum from the tests' own reach, which reachSum must equal.
-        val want = (from until until).map { i =>
+        // Each set's sum from the tests' own reach.
+        val want = (0 until k).map { i =>
           val mask = if (blocked == null) new Array[Boolean](n) else blocked.clone()
           (i * stride until (i + 1) * stride).foreach(j => mask(sets(j)) = true)
-          val sum = ReachOracle.sum(h, roots, mask, seed, r)
-          assert(MonteCarloSpread.reachSum(h, roots, mask, seed, 0L, r) == sum, s"graph $k, set $i, r = $r")
-          sum
+          ReachOracle.sum(h, roots, mask, seed, r)
         }
         // Some world has a root that an earlier root's walk reaches first.
-        val rootReachedFirst = from < until && (0 until r).exists { i =>
+        val rootReachedFirst = k > 0 && (0 until r).exists { i =>
           var reached = Set.empty[Int]
           roots.exists { v =>
             if (blocked != null && blocked(v)) false
@@ -128,16 +125,28 @@ class MonteCarloSpreadSpec extends SparkSpec {
         }
         if (rootReachedFirst) covered("reached by another root") += 1
         val base = ReachOracle.sum(h, roots, blocked, seed, r)
-        assert(MonteCarloSpread.reachSum(h, roots, blocked, seed, 0L, r) == base, s"graph $k, base, r = $r")
-        val (gotBase, got) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed, ws)
-        assert(gotBase == base, s"graph $k, base, stride $stride, r = $r, sets [$from, $until)")
-        assert(got.toSeq == want, s"graph $k, stride $stride, r = $r, sets [$from, $until)")
-        val (againBase, again) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, from, until, r, seed, ws)
-        assert(againBase == base && again.toSeq == want, s"reused workspace: graph $k, stride $stride, r = $r")
-        assert(ws.dfn.forall(_ == -1), s"graph $k, r = $r")
+        val (gotBase, got) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, k, 0L, r, seed, ws)
+        assert(gotBase == base, s"graph $graph, base, stride $stride, r = $r, $k sets")
+        assert(got.toSeq == want, s"graph $graph, stride $stride, r = $r, $k sets")
+        val (onlyBase, none) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, 0, 0L, r, seed, ws)
+        assert(onlyBase == base && none.isEmpty, s"graph $graph, no set, r = $r")
+        val a = rnd.nextInt(r + 1)
+        val (lowBase, low) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, k, 0L, a, seed, ws)
+        val (highBase, high) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, k, a, r, seed, ws)
+        assert(lowBase + highBase == base, s"graph $graph, base over [0, $a) and [$a, $r)")
+        assert(low.indices.map(i => low(i) + high(i)) == want, s"graph $graph, stride $stride, [0, $a) and [$a, $r)")
+        assert(ws.dfn.forall(_ == -1), s"graph $graph, r = $r")
+        if (k > 0) {
+          // Any member of any of the first k sets may be a root.
+          val withRoot = sets.clone()
+          withRoot(rnd.nextInt(k * stride)) = roots(rnd.nextInt(roots.length))
+          intercept[IllegalArgumentException](
+            MonteCarloSpread.sweepSums(h, roots, blocked, withRoot, stride, k, 0L, r, seed, ws))
+          covered("a root") += 1
+        }
       }
     }
-    for (kind <- Seq("root", "no root", "blocked", "off the support", "repeated", "reached by another root"))
+    for (kind <- Seq("a root", "blocked", "off the support", "repeated", "reached by another root"))
       assert(covered(kind) >= 10, s"only ${covered(kind)} cases: $kind")
   }
 
