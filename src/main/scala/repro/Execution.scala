@@ -16,9 +16,12 @@ import scala.collection.mutable.ArrayBuffer
   * over a contiguous slice of item ids, and [[run]] executes it on the
   * driver or over Spark. Worlds are keyed by
   * `Rng.sampleSeed`, so both give identical results; only their cost
-  * differs. Over Spark the graph is broadcast once per Spark context and
-  * graph object and reused by every later job on it; a job ships only its
-  * own payload (roots, mask, candidates) in its task. A Spark job is one
+  * differs. Every slice runs on its thread's [[Scratch]] for the graph's
+  * size, reused across jobs, so no slice allocates an n-sized array. Over
+  * Spark the graph is broadcast once per Spark context and graph object and
+  * reused by every later job on it; a job ships only its own payload
+  * (roots, blocked vertex ids, candidates) in its task, and each slice
+  * returns a partial sized by what its worlds reach. A Spark job is one
   * `runJob` of a named task class, which Spark's closure cleaner skips; it
   * still pays a fixed cost for scheduling, task serialization and task
   * start, which is repaid only when the job's work is large enough to
@@ -69,14 +72,17 @@ object Execution {
     if (traversals * (g.n.toDouble + g.m) >= SparkMinWork) Some(spark) else None
 
   /** Fold the work items `0 until count` over the graph `g` into one
-    * result: `part(g, shared, from, until)` folds the items of one
+    * result: `part(g, shared, from, until, scratch)` folds the items of one
     * contiguous slice into a partial, and `merge` combines two partials.
+    * `scratch` is the running thread's [[Scratch]] for `g.n` vertices
+    * (see [[Scratch.using]]): the part takes its n-sized state from it and
+    * leaves it clean, and a part that throws leaves it behind.
     *
     * On the driver (`cluster = None`) the whole range is one slice. Over
     * Spark, `g` is read from one broadcast per Spark context and graph,
     * made by the first job that runs on them and reused by every later job
-    * (see [[graphBroadcast]]); `shared`, the job's own payload (roots, a
-    * blocked mask, a candidate array), rides in the task, which Spark
+    * (see [[graphBroadcast]]); `shared`, the job's own payload (roots,
+    * blocked vertex ids, a candidate array), rides in the task, which Spark
     * already ships once per job. The range is cut into `defaultParallelism`
     * slices (see [[slice]]), and the job is one `SparkContext.runJob` of a
     * [[SliceTask]] over them, so partials are plain JVM values (no encoder,
@@ -85,10 +91,10 @@ object Execution {
     * Spark job.
     */
   def run[A, R](cluster: Option[SparkSession], g: ProbGraph, shared: A, count: Long)(
-      part: (ProbGraph, A, Long, Long) => R)(merge: (R, R) => R): R = {
+      part: (ProbGraph, A, Long, Long, Scratch) => R)(merge: (R, R) => R): R = {
     require(count >= 1, "a job needs at least one work item")
     cluster match {
-      case None => part(g, shared, 0L, count)
+      case None => Scratch.using(g.n)(part(g, shared, 0L, count, _))
       case Some(spark) =>
         val sc = spark.sparkContext
         val slices = sc.defaultParallelism
@@ -115,11 +121,15 @@ object Execution {
       shared: A,
       count: Long,
       slices: Int,
-      part: (ProbGraph, A, Long, Long) => R)
+      part: (ProbGraph, A, Long, Long, Scratch) => R)
       extends ((TaskContext, Iterator[Int]) => Option[R]) with Serializable {
     def apply(ctx: TaskContext, ids: Iterator[Int]): Option[R] = {
       val (from, until) = slice(count, slices, ctx.partitionId())
-      if (from == until) None else Some(part(graph.value, shared, from, until))
+      if (from == until) None
+      else {
+        val g = graph.value
+        Some(Scratch.using(g.n)(part(g, shared, from, until, _)))
+      }
     }
   }
 

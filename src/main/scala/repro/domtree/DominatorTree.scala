@@ -14,8 +14,9 @@ import repro.util.Rng
   * seed reduction: in every live-edge world each non-seed vertex has the
   * same dominator subtree as in that world blocked and then reduced to one
   * unified seed. All internal state lives in DFS-number ("dfn") space, in
-  * a [[Workspace]] that one task reuses for all its samples, so a sample
-  * costs time and allocation in proportion to what it reaches, not to n.
+  * a [[Workspace]] that a thread's [[repro.Scratch]] keeps across its
+  * samples and jobs, so a sample costs time and allocation in proportion
+  * to what it reaches, not to n.
   */
 object DominatorTree {
 

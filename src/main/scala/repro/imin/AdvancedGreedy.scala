@@ -59,7 +59,7 @@ object AdvancedGreedy {
     val nonSeed = Blocking.maskOf(g.n, roots).map(!_)
     val blocked = new Array[Boolean](g.n)
     val order = Blocking.greedy(budgets.max, masterSeed, nonSeed, blocked, whileGain = true)(
-      DeltaEstimator.estimate(cluster, g, roots, blocked, theta, _))
+      (roundSeed, blockers) => DeltaEstimator.estimate(cluster, g, roots, blockers, theta, roundSeed))
     budgets.map(k => k -> order.take(k).toSeq).toMap
   }
 }

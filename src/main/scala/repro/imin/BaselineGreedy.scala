@@ -50,9 +50,9 @@ object BaselineGreedy {
     val blocked = new Array[Boolean](g.n)
     // Later rounds sweep fewer candidates than the first.
     val where = cluster(allowed.count(identity).toDouble * r)
-    Blocking.greedy(b, masterSeed, allowed, blocked, whileGain = true) { roundSeed =>
+    Blocking.greedy(b, masterSeed, allowed, blocked, whileGain = true) { (roundSeed, blockers) =>
       val candidates = IntStream.range(0, g.n).filter(v => allowed(v) && !blocked(v)).toArray
-      val (base, sums) = MonteCarloSpread.sums(where, g, roots, blocked, candidates, 1, r, roundSeed)
+      val (base, sums) = MonteCarloSpread.sums(where, g, roots, blockers, candidates, 1, r, roundSeed)
       val delta = new Array[Double](g.n)
       candidates.indices.foreach(k => delta(candidates(k)) = (base - sums(k)).toDouble)
       delta

@@ -2,7 +2,6 @@ package repro.imin
 
 import org.apache.spark.sql.SparkSession
 import repro.Execution
-import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.spread.MonteCarloSpread
 import java.util.stream.IntStream
@@ -120,7 +119,7 @@ object ExactBlocker {
     * @return (smallest total reach count, its combination index); ties go to
     *         the smallest index
     */
-  private[imin] def search(
+  private[repro] def search(
       cluster: Option[SparkSession],
       g: ProbGraph,
       roots: Array[Int],
@@ -129,10 +128,9 @@ object ExactBlocker {
       thetaEval: Int,
       masterSeed: Long): (Long, Long) =
     Execution.run(cluster, g, (roots, candidates), choose(candidates.length, b)) {
-      case (g, (roots, candidates), from, until) =>
+      case (g, (roots, candidates), from, until, scratch) =>
         val pos = unrank(from, b)
         val sets = new Array[Int](Chunk * b)
-        val ws = new DominatorTree.Workspace(g.n)
         var best = (Long.MaxValue, -1L)
         var idx = from
         while (idx < until) {
@@ -144,7 +142,7 @@ object ExactBlocker {
             nextCombination(pos)
             s += 1
           }
-          val (_, sums) = MonteCarloSpread.sweepSums(g, roots, null, sets, b, k, 0, thetaEval, masterSeed, ws)
+          val (_, sums) = MonteCarloSpread.sweepSums(g, roots, null, sets, b, k, 0, thetaEval, masterSeed, scratch)
           s = 0
           while (s < k) {
             if (sums(s) < best._1) best = (sums(s), idx + s) // ids ascend: a tie keeps the smaller index

@@ -71,7 +71,7 @@ object GreedyReplace {
     val blocked = new Array[Boolean](g.n)
     val cb = Blocking.maskOf(g.n, seedOutNeighbors(g, roots.toSet))
     Blocking.greedy(b, masterSeed, cb, blocked, whileGain = false)(
-      DeltaEstimator.estimate(cluster, g, roots, blocked, theta, _))
+      (roundSeed, blockers) => DeltaEstimator.estimate(cluster, g, roots, blockers, theta, roundSeed))
   }
 
   /** GR's rounds on `g` from `seeds`, on the driver (`cluster = None`) or
@@ -97,7 +97,7 @@ object GreedyReplace {
     while (j >= 0 && replaced) {
       val u = order.remove(j)
       blocked(u) = false
-      val delta = DeltaEstimator.estimate(cluster, g, roots, blocked, theta,
+      val delta = DeltaEstimator.estimate(cluster, g, roots, order.toArray.sorted, theta,
         Rng.splitmix64(masterSeed ^ 0x5deece66dL ^ (j + 1).toLong))
       val x = Blocking.argmaxDelta(delta, nonSeed, blocked, whileGain = true)
       val pick = if (x >= 0) x else u

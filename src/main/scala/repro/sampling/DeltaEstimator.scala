@@ -1,7 +1,7 @@
 package repro.sampling
 
 import org.apache.spark.sql.SparkSession
-import repro.Execution
+import repro.{Execution, Scratch}
 import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.util.Rng
@@ -20,95 +20,86 @@ import repro.util.Rng
   * samples cost what they reach. A root's Δ is 0: it is not a candidate.
   *
   * The θ samples are one [[repro.Execution.run]] job: each slice of worlds
-  * runs the sample→dominator-tree→subtree-size kernel with one
-  * [[DominatorTree.Workspace]] into one Δ-sum array. A slice that holds
-  * every world (the driver path, or a job whose other slices are empty)
-  * returns that array, which becomes Δ in place. Any other slice returns
-  * only its touched vertices and their sums, which the driver adds into one
-  * array (a world reaches a small part of a large graph, so these partials
-  * are far smaller than n). The sums are integer-valued, so the order of
-  * the additions does not change them. Whether the job runs on the driver
-  * or over Spark is decided by [[repro.Execution]].
+  * runs the sample→dominator-tree→subtree-size kernel on its thread's
+  * [[repro.Scratch]], adding into the scratch's Δ-sum array and listing
+  * each vertex the first time it is touched. The slice returns only its
+  * touched vertices and their sums, and clears them; the driver adds the
+  * partials into one array (a world reaches a small part of a large graph,
+  * so a partial is far smaller than n). The sums are integer-valued, so the
+  * order of the additions does not change them. Whether the job runs on
+  * the driver or over Spark is decided by [[repro.Execution]].
   */
 object DeltaEstimator {
 
-  /** Add one sampled world's subtree sizes into `acc` (length ≥ g.n), roots
-    * included.
+  /** Add one sampled world's subtree sizes into `s.acc`, roots included,
+    * listing in `s.touched`, from position `k` on, every vertex whose sum
+    * was 0; returns the new length of the list.
     */
   def accumulateSample(
       g: ProbGraph,
       roots: Array[Int],
       blocked: Array[Boolean],
       sampleSeed: Long,
-      acc: Array[Double],
-      ws: DominatorTree.Workspace): Unit = {
+      s: Scratch,
+      k: Int): Int = {
+    val ws = s.ws
+    val acc = s.acc
     DominatorTree.compute(g, roots, blocked, sampleSeed, ws)
+    var touched = s.touched
+    var listed = k
     var i = 1 // dfn 0 is the virtual root
     while (i < ws.count) {
-      acc(ws.vertexOf(i)) += ws.size(i)
+      val v = ws.vertexOf(i)
+      if (acc(v) == 0.0) { // sizes are ≥ 1, so a listed vertex's sum is never 0
+        if (listed == touched.length) touched = java.util.Arrays.copyOf(touched, 2 * touched.length)
+        touched(listed) = v; listed += 1
+      }
+      acc(v) += ws.size(i)
       i += 1
     }
-  }
-
-  /** The vertices with a nonzero sum in `acc`, ascending, and their sums. */
-  private def touched(acc: Array[Double]): (Array[Int], Array[Double]) = {
-    var k = 0
-    var v = 0
-    while (v < acc.length) { if (acc(v) != 0.0) k += 1; v += 1 }
-    val vs = new Array[Int](k)
-    val xs = new Array[Double](k)
-    k = 0
-    v = 0
-    while (v < acc.length) {
-      if (acc(v) != 0.0) { vs(k) = v; xs(k) = acc(v); k += 1 }
-      v += 1
-    }
-    (vs, xs)
-  }
-
-  /** Δ from the θ-sample sums in `acc`, in place. */
-  private def finish(acc: Array[Double], roots: Array[Int], theta: Int): Array[Double] = {
-    var v = 0
-    while (v < acc.length) { acc(v) /= theta; v += 1 }
-    roots.foreach(acc(_) = 0.0)
-    acc
+    s.touched = touched
+    listed
   }
 
   /** Δ of every vertex over the θ worlds keyed by `masterSeed`, with the
-    * seeds `roots` and `blocked` vertices (null: none) masked out, on the
-    * driver (`cluster = None`) or as one Spark job, one workspace and one
-    * Δ-sum array per slice of worlds. A slice's partial is `(null, sums)`
-    * when it holds all θ worlds, else its nonzero sums `(vertices, sums)`.
+    * seeds `roots` and the `blocked` vertices (ascending ids) masked out,
+    * on the driver (`cluster = None`) or as one Spark job. A slice's
+    * partial is its touched vertices and their sums.
     */
   def estimate(
       cluster: Option[SparkSession],
       g: ProbGraph,
       roots: Array[Int],
-      blocked: Array[Boolean],
+      blocked: Array[Int],
       theta: Int,
       masterSeed: Long): Array[Double] = {
     require(theta >= 1, "theta must be positive")
-    val parts = Execution.run(cluster, g, (roots, blocked), theta) { case (g, (roots, blocked), from, until) =>
-      val acc = new Array[Double](g.n)
-      val ws = new DominatorTree.Workspace(g.n)
-      var i = from
-      while (i < until) {
-        accumulateSample(g, roots, blocked, Rng.sampleSeed(masterSeed, i), acc, ws)
-        i += 1
-      }
-      List(if (from == 0 && until == theta) (null, acc) else touched(acc))
-    }(_ ::: _)
-    val sums = parts match {
-      case List((null, all)) => all
-      case _ =>
-        val sums = new Array[Double](g.n)
-        for ((vs, xs) <- parts) {
-          var k = 0
-          while (k < vs.length) { sums(vs(k)) += xs(k); k += 1 }
+    Scratch.checkBlocked(g.n, blocked)
+    val parts = Execution.run(cluster, g, (roots, blocked), theta) { case (g, (roots, blocked), from, until, s) =>
+      val k = s.blocking(blocked) { mask =>
+        var k = 0
+        var i = from
+        while (i < until) {
+          k = accumulateSample(g, roots, mask, Rng.sampleSeed(masterSeed, i), s, k)
+          i += 1
         }
-        sums
+        k
+      }
+      val vs = java.util.Arrays.copyOf(s.touched, k)
+      val xs = new Array[Double](k)
+      var j = 0
+      while (j < k) { xs(j) = s.acc(vs(j)); s.acc(vs(j)) = 0.0; j += 1 }
+      List((vs, xs))
+    }(_ ::: _)
+    val delta = new Array[Double](g.n)
+    for ((vs, xs) <- parts) {
+      var j = 0
+      while (j < vs.length) { delta(vs(j)) += xs(j); j += 1 }
     }
-    finish(sums, roots, theta)
+    var v = 0
+    while (v < delta.length) { delta(v) /= theta; v += 1 }
+    roots.foreach(delta(_) = 0.0)
+    delta
   }
 
   /** Driver-side estimate from a single root. */
@@ -117,7 +108,7 @@ object DeltaEstimator {
       root: Int,
       theta: Int,
       masterSeed: Long): Array[Double] =
-    estimate(None, g, Array(root), null, theta, masterSeed)
+    estimate(None, g, Array(root), Array.emptyIntArray, theta, masterSeed)
 
   /** Estimate from a single root, fanned out over Spark. */
   def estimate(
@@ -126,5 +117,5 @@ object DeltaEstimator {
       root: Int,
       theta: Int,
       masterSeed: Long): Array[Double] =
-    estimate(Some(spark), g, Array(root), null, theta, masterSeed)
+    estimate(Some(spark), g, Array(root), Array.emptyIntArray, theta, masterSeed)
 }

@@ -1,5 +1,6 @@
 package repro.sampling
 
+import repro.Scratch
 import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.util.Rng
@@ -24,13 +25,18 @@ object GraphSampler {
     Array.tabulate(g.m)(liveEdge(g, sampleSeed))
 
   /** Number of vertices reachable from `roots` in the sampled world (σ of
-    * Table II, generalized to a root set), optionally with blocked vertices.
-    * A blocked root counts as not reachable.
+    * Table II, generalized to a root set), optionally with blocked vertices,
+    * walked on the thread's [[repro.Scratch]]. A blocked root counts as not
+    * reachable.
     */
   def reachCount(
       g: ProbGraph,
       roots: Array[Int],
       sampleSeed: Long,
       blocked: Array[Boolean] = null): Int =
-    DominatorTree.walk(g, roots, blocked, sampleSeed, new DominatorTree.Workspace(g.n))
+    Scratch.using(g.n) { s =>
+      val count = DominatorTree.walk(g, roots, blocked, sampleSeed, s.ws)
+      s.ws.reset()
+      count
+    }
 }

@@ -1,10 +1,11 @@
 package repro.spread
 
 import org.apache.spark.sql.SparkSession
-import repro.Execution
+import repro.{Execution, Scratch}
 import repro.domtree.DominatorTree
 import repro.graph.ProbGraph
 import repro.util.Rng
+import java.util.stream.IntStream
 
 /** Monte-Carlo Simulation (MCS) estimation of the expected spread — the
   * spread oracle of the paper's baselines [7]: each simulation keeps every
@@ -16,12 +17,12 @@ import repro.util.Rng
 object MonteCarloSpread {
 
   /** The one Monte-Carlo kernel, of MCS, BG and Exact: over the sampled
-    * worlds `from until until` keyed by `masterSeed`, on the reusable
-    * workspace `ws`, the total reach count of `roots` with `blocked` (null:
-    * none) removed, the base; and for each of the first `k` blocker sets,
-    * in set order, that total with the set's members blocked too. Set `i`
-    * is `sets(i * stride until (i + 1) * stride)`, and no set may hold a
-    * root.
+    * worlds `from until until` keyed by `masterSeed`, on the workspace and
+    * the CSR buffers of the scratch `s`, the total reach count of `roots`
+    * with `blocked` (null: none) removed, the base; and for each of the
+    * first `k` blocker sets, in set order, that total with the set's
+    * members blocked too. Set `i` is `sets(i * stride until (i + 1) *
+    * stride)`, and no set may hold a root.
     *
     * Worlds run one at a time. [[DominatorTree.walk]] from the roots with
     * `blocked` alone finds a world's base reach R, drawing each edge's coin
@@ -48,7 +49,7 @@ object MonteCarloSpread {
       from: Long,
       until: Long,
       masterSeed: Long,
-      ws: DominatorTree.Workspace): (Long, Array[Long]) = {
+      s: Scratch): (Long, Array[Long]) = {
     var j = 0
     while (j < k * stride) {
       var ri = 0
@@ -56,9 +57,10 @@ object MonteCarloSpread {
       j += 1
     }
     val sums = new Array[Long](k)
+    val ws = s.ws
     val dfn = ws.dfn
     // Row u of the world's CSR is adj(off(u) until off(u + 1)), u a dfn.
-    var off, adj, vis, stack, front = Array.emptyIntArray
+    var off = s.off; var adj = s.adj; var vis = s.vis; var stack = s.stack; var front = s.front
     var base = 0L
     var world = from
     while (world < until) {
@@ -113,6 +115,7 @@ object MonteCarloSpread {
       ws.reset()
       world += 1
     }
+    s.off = off; s.adj = adj; s.vis = vis; s.stack = stack; s.front = front
     (base, sums)
   }
 
@@ -146,34 +149,43 @@ object MonteCarloSpread {
   /** The `vis` mark of a reached root in [[sweepSums]]: above every epoch. */
   private final val Root = Int.MaxValue
 
-  /** [[sweepSums]] of every set in `sets` over the worlds `0 until r`, on
-    * the driver (`cluster = None`) or as one Spark job over slices of the
-    * worlds; each slice sweeps on a workspace of its own, and the slices'
-    * bases and sums add up.
+  /** [[sweepSums]] of every set in `sets` over the worlds `0 until r`,
+    * with the `blocked` vertices (ascending ids) masked out, on the driver
+    * (`cluster = None`) or as one Spark job over slices of the worlds. Each
+    * slice sweeps on its thread's [[repro.Scratch]] and returns its base
+    * and only the sets whose decrease, its base − the set's sum, is
+    * nonzero; the driver adds the bases and the decreases, and a set's sum
+    * is the base − its decrease.
     */
   def sums(
       cluster: Option[SparkSession],
       g: ProbGraph,
       roots: Array[Int],
-      blocked: Array[Boolean],
+      blocked: Array[Int],
       sets: Array[Int],
       stride: Int,
       r: Int,
       masterSeed: Long): (Long, Array[Long]) = {
     require(r >= 1, "r must be positive")
-    Execution.run(cluster, g, (roots, blocked, sets), r) { case (g, (roots, blocked, sets), from, until) =>
-      sweepSums(g, roots, blocked, sets, stride, sets.length / stride, from, until, masterSeed,
-        new DominatorTree.Workspace(g.n))
-    } { case ((baseA, a), (baseB, b)) =>
-      var i = 0
-      while (i < a.length) { a(i) += b(i); i += 1 }
-      (baseA + baseB, a)
+    Scratch.checkBlocked(g.n, blocked)
+    val k = sets.length / stride
+    val parts = Execution.run(cluster, g, (roots, blocked, sets), r) { case (g, (roots, blocked, sets), from, until, s) =>
+      val (base, sums) = s.blocking(blocked)(sweepSums(g, roots, _, sets, stride, k, from, until, masterSeed, s))
+      val which = IntStream.range(0, k).filter(sums(_) != base).toArray
+      List((base, which, which.map(base - sums(_))))
+    }(_ ::: _)
+    val base = parts.iterator.map(_._1).sum
+    val sums = Array.fill(k)(base)
+    for ((_, which, decrease) <- parts) {
+      var j = 0
+      while (j < which.length) { sums(which(j)) -= decrease(j); j += 1 }
     }
+    (base, sums)
   }
 
-  /** Estimate over `r` simulations with `blocked` vertices removed (null:
-    * none), on the driver (`cluster = None`) or as one Spark job: the base
-    * of [[sums]] with no blocker set, over `r`.
+  /** Estimate over `r` simulations with the `blocked` vertices (ascending
+    * ids) removed, on the driver (`cluster = None`) or as one Spark job: the
+    * base of [[sums]] with no blocker set, over `r`.
     */
   def spread(
       cluster: Option[SparkSession],
@@ -181,19 +193,23 @@ object MonteCarloSpread {
       roots: Array[Int],
       r: Int,
       masterSeed: Long,
-      blocked: Array[Boolean]): Double =
+      blocked: Array[Int]): Double =
     sums(cluster, g, roots, blocked, Array.emptyIntArray, 1, r, masterSeed)._1.toDouble / r
 
-  /** Driver-side estimate over `r` simulations. */
+  /** Driver-side estimate over `r` simulations, with the vertices set in
+    * `blocked` removed (null: none).
+    */
   def spreadLocal(
       g: ProbGraph,
       roots: Array[Int],
       r: Int,
       masterSeed: Long,
       blocked: Array[Boolean] = null): Double =
-    spread(None, g, roots, r, masterSeed, blocked)
+    spread(None, g, roots, r, masterSeed, Scratch.idsOf(blocked))
 
-  /** Estimate over `r` simulations fanned out over Spark. */
+  /** Estimate over `r` simulations fanned out over Spark, with the vertices
+    * set in `blocked` removed (null: none).
+    */
   def spread(
       spark: SparkSession,
       g: ProbGraph,
@@ -201,10 +217,11 @@ object MonteCarloSpread {
       r: Int,
       masterSeed: Long,
       blocked: Array[Boolean] = null): Double =
-    spread(Some(spark), g, roots, r, masterSeed, blocked)
+    spread(Some(spark), g, roots, r, masterSeed, Scratch.idsOf(blocked))
 
   /** Spread after blocking `blockers`, on the driver or over Spark as
-    * [[repro.Execution]] decides for `r` simulations of `g`.
+    * [[repro.Execution]] decides for `r` simulations of `g`. A blocker
+    * outside `[0, g.n)` is rejected before any job starts.
     */
   def spreadWithBlockers(
       spark: SparkSession,
@@ -212,9 +229,6 @@ object MonteCarloSpread {
       roots: Array[Int],
       blockers: Iterable[Int],
       r: Int,
-      masterSeed: Long): Double = {
-    val mask = new Array[Boolean](g.n)
-    blockers.foreach(mask(_) = true)
-    spread(Execution.cluster(spark, g, r), g, roots, r, masterSeed, mask)
-  }
+      masterSeed: Long): Double =
+    spread(Execution.cluster(spark, g, r), g, roots, r, masterSeed, blockers.toArray.sorted.distinct)
 }

@@ -1,7 +1,7 @@
 package repro.imin
 
 import org.apache.spark.sql.SparkSession
-import repro.SparkSpec
+import repro.{Scratch, SparkSpec}
 import repro.exp.Datasets
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.sampling.ReachOracle
@@ -99,7 +99,7 @@ class BaselineGreedySpec extends SparkSpec {
         // some slices empty.
         for (r <- Seq(1000, 1, spark.sparkContext.defaultParallelism - 1).filter(_ >= 1).distinct) {
           def sweep(cluster: Option[SparkSession]) =
-            MonteCarloSpread.sums(cluster, graph, roots, blocked, candidates, 1, r, 6L + i)
+            MonteCarloSpread.sums(cluster, graph, roots, Scratch.idsOf(blocked), candidates, 1, r, 6L + i)
           val ((localBase, local), (distBase, dist)) = (sweep(None), sweep(Some(spark)))
           assert(local.length == candidates.length && local.sameElements(dist), s"round ${i + 1}, r = $r")
           assert(localBase == distBase, s"round ${i + 1} base, r = $r")
@@ -135,7 +135,7 @@ class BaselineGreedySpec extends SparkSpec {
         // BG's own round base and sweep, and MCS, count the same sums.
         val base = spreadSum(-1)
         assert(MonteCarloSpread.spreadLocal(h, roots, r, roundSeed, blocked) == base.toDouble / r, s"round ${i + 1} MCS")
-        val (bgBase, bgSums) = MonteCarloSpread.sums(None, h, roots, blocked, candidates.toArray, 1, r, roundSeed)
+        val (bgBase, bgSums) = MonteCarloSpread.sums(None, h, roots, Scratch.idsOf(blocked), candidates.toArray, 1, r, roundSeed)
         assert(bgBase == base, s"round ${i + 1} sweep base")
         assert(bgSums.toSeq == candidates.map(sums), s"round ${i + 1} sweep")
         val x = candidates.minBy(u => (sums(u), u))

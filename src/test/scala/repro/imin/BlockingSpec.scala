@@ -19,4 +19,11 @@ class BlockingSpec extends SparkSpec {
     assert(bg.nonEmpty && !bg.exists(outside), s"bg=$bg")
     assert(exact.toSet == Set(1, 2), s"exact=$exact")
   }
+
+  test("a blocker out of range is rejected with its id, not an index error") {
+    for (v <- Seq(-1, 5)) {
+      val e = intercept[IllegalArgumentException](Blocking.maskOf(5, Seq(1, v)))
+      assert(e.getMessage.contains(s"blocker $v out of range [0, 5)"), e.getMessage)
+    }
+  }
 }

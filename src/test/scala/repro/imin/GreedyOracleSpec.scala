@@ -1,7 +1,7 @@
 package repro.imin
 
 import org.apache.spark.sql.SparkSession
-import repro.SparkSpec
+import repro.{Scratch, SparkSpec}
 import repro.exp.Datasets
 import repro.graph.ProbGraph
 import repro.sampling.DeltaEstimator
@@ -45,7 +45,7 @@ object HandLoops {
     var exhausted = false
     while (i < b && !exhausted) {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
-      val delta = DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed)
+      val delta = DeltaEstimator.estimate(cluster, g, roots, Scratch.idsOf(blocked), theta, roundSeed)
       val x = argmaxDelta(delta, v => !blocked(v) && !isSeed(v))
       if (x < 0 || delta(x) <= 0.0) exhausted = true // nothing left to gain
       else { blocked(x) = true; order += x }
@@ -67,7 +67,7 @@ object HandLoops {
     val isSeed = Blocking.maskOf(g.n, roots)
 
     def deltasOf(blocked: Array[Boolean], roundSeed: Long): Array[Double] =
-      DeltaEstimator.estimate(cluster, g, roots, blocked, theta, roundSeed)
+      DeltaEstimator.estimate(cluster, g, roots, Scratch.idsOf(blocked), theta, roundSeed)
 
     val cb = GreedyReplace.seedOutNeighbors(g, seeds)
     val inCb = Blocking.maskOf(g.n, cb)
@@ -142,7 +142,7 @@ object HandLoops {
       val roundSeed = Rng.splitmix64(masterSeed ^ (i + 1).toLong)
       if (candidates.isEmpty) exhausted = true
       else {
-        val (base, sums) = MonteCarloSpread.sums(cluster, g, roots, blocked, candidates, 1, r, roundSeed)
+        val (base, sums) = MonteCarloSpread.sums(cluster, g, roots, Scratch.idsOf(blocked), candidates, 1, r, roundSeed)
         // Max decrease == min spread; candidates ascend, so the first
         // minimum breaks ties by smallest id.
         var best = 0

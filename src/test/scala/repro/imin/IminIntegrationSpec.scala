@@ -69,7 +69,7 @@ class IminIntegrationSpec extends SparkSpec {
   test("Theorem 5 empirically: estimation error shrinks as theta grows") {
     // Compare theta=50 vs theta=5000 estimates of the top blocker's delta
     // against a theta=50000 reference, all from the seeds on gWC itself.
-    def est(theta: Int, seed: Long) = DeltaEstimator.estimate(None, gWC, roots, null, theta, seed)
+    def est(theta: Int, seed: Long) = DeltaEstimator.estimate(None, gWC, roots, Array.emptyIntArray, theta, seed)
     val ref = est(50000, 100L)
     val top = (0 until gWC.n).maxBy(ref)
     def err(theta: Int, seed: Long): Double = math.abs(est(theta, seed)(top) - ref(top))

@@ -1,7 +1,6 @@
 package repro.sampling
 
-import repro.SparkSpec
-import repro.domtree.DominatorTree
+import repro.{Scratch, SparkSpec}
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.spread.ExactSpread
 import repro.util.Rng
@@ -38,8 +37,10 @@ class DeltaEstimatorSpec extends SparkSpec {
         .filter(e => e._1 != e._2).take(ExactSpread.MaxUncertain)
       val h = ProbGraph.fromEdges(n, edges)
       val sampleSeed = Rng.sampleSeed(100L + trial, 0L)
-      val acc = new Array[Double](n)
-      DeltaEstimator.accumulateSample(h, Array(0), null, sampleSeed, acc, new DominatorTree.Workspace(n))
+      val s = new Scratch(n)
+      val listed = DeltaEstimator.accumulateSample(h, Array(0), null, sampleSeed, s, 0)
+      val acc = s.acc
+      assert(s.touched.take(listed).sorted.toSeq == (0 until n).filter(acc(_) != 0.0), s"trial=$trial listed")
       val full = ReachOracle.world(h, Seq(0), null, sampleSeed).size
       for (u <- 1 until n) {
         val blocked = new Array[Boolean](n); blocked(u) = true
@@ -76,10 +77,8 @@ class DeltaEstimatorSpec extends SparkSpec {
       assert(local.toSeq == dist.toSeq, s"theta=$theta")
     }
     // A blocked seed reaches nothing: every slice returns an empty partial.
-    val blocked = new Array[Boolean](g.n)
-    blocked(ToyGraph.seed) = true
     for (cluster <- Seq(None, Some(spark))) {
-      val delta = DeltaEstimator.estimate(cluster, g, Array(ToyGraph.seed), blocked, 50, 7L)
+      val delta = DeltaEstimator.estimate(cluster, g, Array(ToyGraph.seed), Array(ToyGraph.seed), 50, 7L)
       assert(delta.forall(_ == 0.0), s"cluster=$cluster")
     }
   }
@@ -91,9 +90,7 @@ class DeltaEstimatorSpec extends SparkSpec {
       Seq((0, 2, 0.5), (1, 2, 0.5), (0, 3, 1.0), (1, 4, 0.4), (2, 5, 0.8), (3, 5, 0.3), (1, 0, 0.7)))
     val seeds = Array(0, 1)
     for (blockers <- Seq(Seq.empty[Int], Seq(3))) {
-      val mask = new Array[Boolean](h.n)
-      blockers.foreach(mask(_) = true)
-      val delta = DeltaEstimator.estimate(None, h, seeds, mask, 60000, 11L)
+      val delta = DeltaEstimator.estimate(None, h, seeds, blockers.toArray, 60000, 11L)
       val base = ExactSpread.spreadWithBlockers(h, seeds, blockers)
       for (u <- 2 until 6 if !blockers.contains(u)) {
         val exact = base - ExactSpread.spreadWithBlockers(h, seeds, u +: blockers)

@@ -1,7 +1,6 @@
 package repro.spread
 
-import repro.SparkSpec
-import repro.domtree.DominatorTree
+import repro.{Scratch, SparkSpec}
 import repro.graph.{ProbGraph, ToyGraph}
 import repro.imin.Blocking
 import repro.sampling.ReachOracle
@@ -106,7 +105,7 @@ class MonteCarloSpreadSpec extends SparkSpec {
         if (set.exists(!support(_))) covered("off the support") += 1
         if (set.distinct.length < stride) covered("repeated") += 1
       }
-      val ws = new DominatorTree.Workspace(n)
+      val s = new Scratch(n)
       for (r <- Seq(1, 7, 100)) {
         val seed = rnd.nextLong()
         // Each set's sum from the tests' own reach.
@@ -125,23 +124,23 @@ class MonteCarloSpreadSpec extends SparkSpec {
         }
         if (rootReachedFirst) covered("reached by another root") += 1
         val base = ReachOracle.sum(h, roots, blocked, seed, r)
-        val (gotBase, got) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, k, 0L, r, seed, ws)
+        val (gotBase, got) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, k, 0L, r, seed, s)
         assert(gotBase == base, s"graph $graph, base, stride $stride, r = $r, $k sets")
         assert(got.toSeq == want, s"graph $graph, stride $stride, r = $r, $k sets")
-        val (onlyBase, none) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, 0, 0L, r, seed, ws)
+        val (onlyBase, none) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, 0, 0L, r, seed, s)
         assert(onlyBase == base && none.isEmpty, s"graph $graph, no set, r = $r")
         val a = rnd.nextInt(r + 1)
-        val (lowBase, low) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, k, 0L, a, seed, ws)
-        val (highBase, high) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, k, a, r, seed, ws)
+        val (lowBase, low) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, k, 0L, a, seed, s)
+        val (highBase, high) = MonteCarloSpread.sweepSums(h, roots, blocked, sets, stride, k, a, r, seed, s)
         assert(lowBase + highBase == base, s"graph $graph, base over [0, $a) and [$a, $r)")
         assert(low.indices.map(i => low(i) + high(i)) == want, s"graph $graph, stride $stride, [0, $a) and [$a, $r)")
-        assert(ws.dfn.forall(_ == -1), s"graph $graph, r = $r")
+        assert(s.ws.dfn.forall(_ == -1), s"graph $graph, r = $r")
         if (k > 0) {
           // Any member of any of the first k sets may be a root.
           val withRoot = sets.clone()
           withRoot(rnd.nextInt(k * stride)) = roots(rnd.nextInt(roots.length))
           intercept[IllegalArgumentException](
-            MonteCarloSpread.sweepSums(h, roots, blocked, withRoot, stride, k, 0L, r, seed, ws))
+            MonteCarloSpread.sweepSums(h, roots, blocked, withRoot, stride, k, 0L, r, seed, s))
           covered("a root") += 1
         }
       }
